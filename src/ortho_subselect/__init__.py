@@ -14,7 +14,6 @@ from .errors import (
     InvalidEpsilon,
     LengthMismatch,
     MatrixFormatError,
-    NoConvergence,
     NotOrthonormal,
     NotPowerOfTwo,
     NotSymmetric,

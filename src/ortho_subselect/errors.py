@@ -18,10 +18,6 @@ class NotSymmetric(OrthoSubselectError):
     """Eigensolver input is not symmetric within tolerance."""
 
 
-class NoConvergence(OrthoSubselectError):
-    """Iterative solver exceeded its sweep cap."""
-
-
 class EmptySubset(OrthoSubselectError):
     """Operation requires at least one selected column."""
 

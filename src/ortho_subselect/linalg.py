@@ -1,10 +1,10 @@
 """Dense linear-algebra kernels.
 
 Row orthonormalization, compressed Gram matrices over a column subset,
-extreme eigenvalues of small symmetric matrices via full Jacobi
-diagonalization, the isometry deviation functional, and the on-disk matrix
-text format. Matrices are float64 numpy arrays in row-major order; every
-function here is pure and never mutates its arguments.
+extreme eigenvalues of small symmetric matrices via LAPACK, the isometry
+deviation functional, and the on-disk matrix text format. Matrices are
+float64 numpy arrays in row-major order; every function here is pure and
+never mutates its arguments.
 """
 
 from __future__ import annotations
@@ -18,16 +18,13 @@ from .errors import (
     EmptySubset,
     IndexOutOfRange,
     MatrixFormatError,
-    NoConvergence,
     NotOrthonormal,
     NotSymmetric,
     RankDeficient,
 )
 
 DEFAULT_ORTHO_TOL = 1e-10
-DEFAULT_EIG_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
-MAX_JACOBI_SWEEPS = 60
 
 
 def as_matrix(m) -> np.ndarray:
@@ -112,8 +109,6 @@ class SubsetIndex:
 class SymEigExtremes:
     lambda_min: float
     lambda_max: float
-    iterations: int
-    residual: float
 
 
 def orthonormalize_rows(m, tol: float = DEFAULT_ORTHO_TOL) -> OrthoRowMatrix:
@@ -140,90 +135,16 @@ def orthonormalize_rows(m, tol: float = DEFAULT_ORTHO_TOL) -> OrthoRowMatrix:
     return OrthoRowMatrix(a, tol)
 
 
-def _round_robin_rounds(k: int) -> list[list[tuple[int, int]]]:
-    """Partition all index pairs of 0..k-1 into rounds of disjoint pairs."""
-    players: list[int | None] = list(range(k)) + ([None] if k % 2 else [])
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        pairs = []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a is not None and b is not None:
-                pairs.append((min(a, b), max(a, b)))
-        rounds.append(pairs)
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
-def _off_diag_norm(a: np.ndarray) -> float:
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
-
-
-def sym_eig_extremes(
-    s,
-    tol: float = DEFAULT_EIG_TOL,
-    max_sweeps: int = MAX_JACOBI_SWEEPS,
-) -> SymEigExtremes:
-    """Extreme eigenvalues of a symmetric matrix by Jacobi diagonalization.
-
-    Rotations are applied one round-robin round at a time (disjoint pairs
-    fused into a single orthogonal factor), so each sweep is a handful of
-    dense matmuls rather than k(k-1)/2 scalar updates. Sweeps continue
-    until the off-diagonal Frobenius norm is at most ``tol`` (absolute);
-    by Weyl's inequality the diagonal then carries every eigenvalue to
-    within ``tol``.
-    """
+def sym_eig_extremes(s) -> SymEigExtremes:
+    """Extreme eigenvalues of a symmetric matrix via LAPACK (``eigvalsh``)."""
     a = as_matrix(s)
-    k = a.shape[0]
-    if a.shape[1] != k:
+    if a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
     asym = float(np.max(np.abs(a - a.T)))
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.3e}")
-    a = 0.5 * (a + a.T)  # remove roundoff drift after the check passes
-    if k == 1:
-        v = float(a[0, 0])
-        return SymEigExtremes(v, v, 0, 0.0)
-
-    rounds = _round_robin_rounds(k)
-    sweeps = 0
-    off = _off_diag_norm(a)
-    while off > tol:
-        if sweeps >= max_sweeps:
-            raise NoConvergence(
-                f"off-diagonal norm {off:.3e} > {tol:.3e} after "
-                f"{max_sweeps} sweeps"
-            )
-        for pairs in rounds:
-            p = np.fromiter((x for x, _ in pairs), dtype=np.intp)
-            q = np.fromiter((y for _, y in pairs), dtype=np.intp)
-            apq = a[p, q]
-            # pivots below 1e-200 cannot move any usable tolerance and
-            # would overflow the tau quotient
-            live = np.abs(apq) > 1e-200
-            if not live.any():
-                continue
-            p, q, apq = p[live], q[live], apq[live]
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-            # hypot instead of sqrt(1 + tau^2): no overflow for huge tau
-            t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            t[tau == 0.0] = 1.0  # equal diagonal: rotate by 45 degrees
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            sn = t * c
-            rot = np.eye(k)
-            rot[p, p] = c
-            rot[q, q] = c
-            rot[p, q] = sn
-            rot[q, p] = -sn
-            a = rot.T @ a @ rot
-        a = 0.5 * (a + a.T)
-        sweeps += 1
-        off = _off_diag_norm(a)
-    diag = np.diagonal(a)
-    return SymEigExtremes(float(diag.min()), float(diag.max()), sweeps, off)
+    w = np.linalg.eigvalsh(a)
+    return SymEigExtremes(float(w[0]), float(w[-1]))
 
 
 def _check_subset(a: OrthoRowMatrix, i: SubsetIndex) -> None:
@@ -243,12 +164,10 @@ def compressed_gram(a: OrthoRowMatrix, i: SubsetIndex) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def scaled_gram_extremes(
-    a: OrthoRowMatrix, i: SubsetIndex, tol: float = DEFAULT_EIG_TOL
-) -> SymEigExtremes:
+def scaled_gram_extremes(a: OrthoRowMatrix, i: SubsetIndex) -> SymEigExtremes:
     """Eigen extremes of (M/|I|) * A_I A_I^T."""
     scale = a.m / len(i)
-    return sym_eig_extremes(scale * compressed_gram(a, i), tol)
+    return sym_eig_extremes(scale * compressed_gram(a, i))
 
 
 def deviation(a: OrthoRowMatrix, i: SubsetIndex) -> float:

@@ -123,7 +123,7 @@ def sup_process_sample(w: SubspaceBasis, signs) -> float:
     """Supremum over unit w in W of |sum_i signs_i * w(i)^2|.
 
     Writing w = U y reduces the supremum to the spectral norm of
-    S = U^T diag(signs) U, computed exactly via the Jacobi eigensolver.
+    S = U^T diag(signs) U, computed by the LAPACK symmetric eigensolver.
     """
     s = np.asarray(signs, dtype=np.float64)
     if s.shape != (w.m,):

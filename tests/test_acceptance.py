@@ -22,12 +22,16 @@ from ortho_subselect import (
     certify,
     check_ball_convexity,
     check_quasi_triangle,
+    child_seed,
+    compressed_gram,
     deviation,
     estimate_process,
     gaussian_sup_estimates,
     gen_random_ortho,
     gen_trig,
     gen_walsh,
+    halve_step,
+    make_rng,
     quasimetric_d,
     quasimetric_dtilde,
     select_subset,
@@ -211,6 +215,33 @@ def _serial_jacobi_extremes(s, tol=1e-12, max_sweeps=100):
     return float(d.min()), float(d.max())
 
 
+def _selection_grams():
+    """Scaled compressed Grams that real selections hand to the eigensolver.
+
+    First the two criterion-3 study draws (seed 0) whose exact deviation is
+    the budget 0.5 itself: (n=32, trial 9) step 0 retry 2 and (n=64, trial
+    5) step 0 retry 15. Then every accepted step of four Walsh 16x256
+    selections.
+    """
+    grams = []
+    for n, trial, retry in ((32, 9, 2), (64, 5, 15)):
+        a = gen_walsh(n, 16 * n)
+        step_seed = child_seed(child_seed(0, n, trial), 0)
+        rng = make_rng(child_seed(step_seed, retry))
+        keep = rng.integers(0, 2, size=a.m).astype(bool)
+        subset = SubsetIndex(tuple(int(j) for j in np.flatnonzero(keep) + 1), a.m)
+        grams.append(a.m / len(subset) * compressed_gram(a, subset))
+    a = gen_walsh(16, 256)
+    for seed in range(4):
+        _, trace = select_subset(a, 0.5, seed=seed)
+        current = SubsetIndex.full(a.m)
+        for k in range(len(trace.steps)):
+            current, _ = halve_step(a, current, 0.5, child_seed(seed, k))
+            grams.append(a.m / len(current) * compressed_gram(a, current))
+    assert len(grams) == 7
+    return grams
+
+
 def test_criterion_09_eigensolver_oracle():
     with Criterion(9, "eigen extremes match serial Jacobi to 1e-8", 5):
         rng = np.random.default_rng(77)
@@ -219,6 +250,11 @@ def test_criterion_09_eigensolver_oracle():
             s = 0.5 * (s + s.T)
             ext = sym_eig_extremes(s)
             lo, hi = _serial_jacobi_extremes(s)
+            assert abs(ext.lambda_min - lo) <= 1e-8
+            assert abs(ext.lambda_max - hi) <= 1e-8
+        for g in _selection_grams():
+            ext = sym_eig_extremes(g)
+            lo, hi = _serial_jacobi_extremes(g)
             assert abs(ext.lambda_min - lo) <= 1e-8
             assert abs(ext.lambda_max - hi) <= 1e-8
 

@@ -7,7 +7,6 @@ from ortho_subselect import (
     EmptySubset,
     IndexOutOfRange,
     MatrixFormatError,
-    NoConvergence,
     NotOrthonormal,
     NotSymmetric,
     OrthoRowMatrix,
@@ -77,7 +76,6 @@ def test_sym_eig_matches_lapack_oracle():
         w = np.linalg.eigvalsh(s)
         assert abs(ext.lambda_min - w[0]) <= 1e-8
         assert abs(ext.lambda_max - w[-1]) <= 1e-8
-        assert ext.residual <= 1e-10
 
 
 def test_sym_eig_recovers_planted_spectrum():
@@ -106,14 +104,6 @@ def test_sym_eig_rejects_asymmetry():
         sym_eig_extremes([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
     with pytest.raises(NotSymmetric):
         sym_eig_extremes(np.ones((2, 3)))
-
-
-def test_sym_eig_sweep_cap():
-    rng = np.random.default_rng(1)
-    s = rng.standard_normal((8, 8))
-    s = 0.5 * (s + s.T)
-    with pytest.raises(NoConvergence):
-        sym_eig_extremes(s, max_sweeps=0)
 
 
 def _flat_row(p: float) -> OrthoRowMatrix:
