@@ -21,7 +21,6 @@ from .errors import OrthoSubselectError
 from .generators import coherence, gen_random_ortho, gen_trig, gen_walsh
 from .jsonio import dumps, format_float, loads
 from .linalg import OrthoRowMatrix, SubsetIndex, read_matrix_text, write_matrix_text
-from .parallel import run_indexed
 from .processes import (
     SubspaceBasis,
     check_ball_convexity,
@@ -93,15 +92,13 @@ def _generate(kind: str, n: int, m: int, seed: int) -> OrthoRowMatrix:
 
 
 def run_study(cfg: StudyConfig) -> list[StudyRow]:
-    """One selection run per (n, trial); trials are schedule-independent."""
+    """One selection run per (n, trial), in (n, trial) order."""
     matrices = {
         n: _generate(cfg.kind, n, cfg.m_factor * n, child_seed(cfg.seed, "matrix", n))
         for n in cfg.n_list
     }
-    tasks = [(n, t) for n in cfg.n_list for t in range(cfg.trials)]
 
-    def work(i: int) -> StudyRow:
-        n, trial = tasks[i]
+    def work(n: int, trial: int) -> StudyRow:
         a = matrices[n]
         cert, trace = select_subset(
             a, cfg.epsilon, child_seed(cfg.seed, n, trial), kappa=cfg.kappa
@@ -118,7 +115,7 @@ def run_study(cfg: StudyConfig) -> list[StudyRow]:
             ratio=size / (n * math.log(n)),
         )
 
-    return run_indexed(work, len(tasks))
+    return [work(n, t) for n in cfg.n_list for t in range(cfg.trials)]
 
 
 def study_summary(cfg: StudyConfig, rows: list[StudyRow]) -> dict:

@@ -5,8 +5,7 @@ unit ball (spectral norm of the sign-compressed basis Gram matrix), Gaussian
 projection norms, the fourth-moment quasimetric with its factor-4 triangle
 inequality and ball-convexity checks, and greedy packing counts.
 
-Estimator aggregation uses compensated summation in fixed trial order, so
-results are independent of any parallel evaluation schedule.
+Estimator aggregation uses compensated summation in fixed trial order.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .errors import (
     SamplingFailed,
 )
 from .linalg import DEFAULT_ORTHO_TOL, OrthoRowMatrix, as_matrix, sym_eig_extremes
-from .parallel import run_indexed
 from .rng import child_seed, make_rng, rademacher
 
 
@@ -149,7 +147,7 @@ def estimate_process(w: SubspaceBasis, trials: int, seed: int) -> ProcessEstimat
         rng = make_rng(child_seed(seed, trial))
         return sup_process_sample(w, rademacher(rng, w.m))
 
-    values = np.asarray(run_indexed(one_trial, trials))
+    values = np.asarray([one_trial(k) for k in range(trials)])
     mean = compensated_sum(values) / trials
     var = compensated_sum((values - mean) ** 2) / (trials - 1)
     std_error = math.sqrt(var / trials)

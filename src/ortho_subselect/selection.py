@@ -18,7 +18,6 @@ import numpy as np
 from .errors import EmptySubset, InvalidEpsilon, RetriesExhausted, SizeOutOfRange
 from .generators import coherence
 from .linalg import OrthoRowMatrix, SubsetIndex, deviation, scaled_gram_extremes
-from .parallel import run_indexed
 from .rng import child_seed, make_rng
 
 DEFAULT_MAX_RETRIES = 64
@@ -179,9 +178,8 @@ def uniform_baseline(
 ) -> list[IsometryCertificate]:
     """Certify ``trials`` uniformly random subsets of the given cardinality.
 
-    Trial k draws from the generator seeded by child_seed(seed, k), so any
-    parallel schedule reproduces the same per-trial certificates; trials run
-    on the shared worker pool (ORTHO_SUBSELECT_THREADS).
+    Trial k draws from the generator seeded by child_seed(seed, k);
+    certificates are returned in trial order.
     """
     if not 1 <= size <= a.m:
         raise SizeOutOfRange(f"size must be in 1..{a.m}, got {size}")
@@ -193,7 +191,7 @@ def uniform_baseline(
         cols = np.sort(rng.choice(a.m, size=size, replace=False)) + 1
         return certify(a, SubsetIndex(tuple(int(c) for c in cols), a.m))
 
-    return run_indexed(one_trial, trials)
+    return [one_trial(k) for k in range(trials)]
 
 
 def certificate_to_dict(cert: IsometryCertificate) -> dict:

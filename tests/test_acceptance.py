@@ -8,7 +8,6 @@ run time.
 import itertools
 import json
 import math
-import os
 import statistics
 import subprocess
 import sys
@@ -259,12 +258,9 @@ def test_criterion_09_eigensolver_oracle():
             assert abs(ext.lambda_max - hi) <= 1e-8
 
 
-def _run_cli(*args, threads=None, cwd=None):
-    env = dict(os.environ)
-    if threads is not None:
-        env["ORTHO_SUBSELECT_THREADS"] = threads
+def _run_cli(*args, cwd=None):
     res = subprocess.run(CMD + list(args), capture_output=True, text=True,
-                         env=env, cwd=cwd)
+                         cwd=cwd)
     return res.returncode, res.stdout
 
 
@@ -272,7 +268,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     with Criterion(10, "repeated CLI runs are byte-identical", 60):
         mat = tmp_path / "m.txt"
 
-        def once(tag, threads):
+        def once(tag):
             blob = {}
             code, out = _run_cli("gen", "--kind", "random", "--n", "8", "--M",
                                  "64", "--seed", "3", "--output", str(mat))
@@ -289,7 +285,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             code, out = _run_cli("study", "--kind", "walsh", "--n-list",
                                  "8,16", "--m-factor", "8", "--epsilon",
                                  "0.5", "--trials", "4", "--seed", "5",
-                                 "--output", str(csv), threads=threads)
+                                 "--output", str(csv))
             assert code == 0
             blob["study"] = (out, csv.read_bytes())
             code, out = _run_cli("verify", "--suite", "quasimetric",
@@ -298,7 +294,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             blob["verify"] = out
             return blob
 
-        serial = once("a", "1")
-        parallel_1 = once("b", "0")  # 0 = auto: one worker per CPU
-        parallel_2 = once("c", "0")
-        assert serial == parallel_1 == parallel_2
+        first = once("a")
+        second = once("b")
+        third = once("c")
+        assert first == second == third

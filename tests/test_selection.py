@@ -162,15 +162,13 @@ def test_uniform_baseline_flat_single_row():
         assert cert.epsilon_achieved <= 1e-12
 
 
-def test_uniform_baseline_validation_and_determinism(monkeypatch):
+def test_uniform_baseline_validation_and_determinism():
     a = gen_walsh(4, 16)
     with pytest.raises(SizeOutOfRange):
         uniform_baseline(a, 0, seed=0, trials=1)
     with pytest.raises(SizeOutOfRange):
         uniform_baseline(a, 17, seed=0, trials=1)
-    monkeypatch.setenv("ORTHO_SUBSELECT_THREADS", "1")
     first = uniform_baseline(a, 6, seed=9, trials=4)
-    monkeypatch.setenv("ORTHO_SUBSELECT_THREADS", "4")
     second = uniform_baseline(a, 6, seed=9, trials=4)
     assert first == second
 
