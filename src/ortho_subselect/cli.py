@@ -22,6 +22,7 @@ from .generators import coherence, gen_random_ortho, gen_trig, gen_walsh
 from .jsonio import dumps, format_float, loads
 from .linalg import OrthoRowMatrix, SubsetIndex, read_matrix_text, write_matrix_text
 from .processes import (
+    ProcessEstimate,
     SubspaceBasis,
     check_ball_convexity,
     check_quasi_triangle,
@@ -266,21 +267,23 @@ def _property_line(check: str, samples: int, max_ratio: float, threshold: float,
     }
 
 
+def _estimator_line(check: str, est: ProcessEstimate) -> dict:
+    return {
+        "check": check,
+        "mean": est.mean,
+        "std_error": est.std_error,
+        "trials": est.trials,
+        "Q": est.q,
+        "bound_ratio": est.bound_ratio,
+        "seed": est.seed,
+    }
+
+
 def _verify_process(trials: int, seed: int) -> list[dict]:
     out = []
     fixture = SubspaceBasis.coordinate_span(64, 1)
     est = estimate_process(fixture, max(2, min(trials, 64)), child_seed(seed, "fixture"))
-    out.append(
-        {
-            "check": "process_fixture_span_e1",
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "trials": est.trials,
-            "Q": est.q,
-            "bound_ratio": est.bound_ratio,
-            "seed": est.seed,
-        }
-    )
+    out.append(_estimator_line("process_fixture_span_e1", est))
     out.append(
         _property_line(
             "process_fixture_exact_mean",
@@ -295,17 +298,7 @@ def _verify_process(trials: int, seed: int) -> list[dict]:
         w = SubspaceBasis.from_ortho_rows(gen_walsh(n, m))
         est = estimate_process(w, trials, child_seed(seed, "grid", n, m))
         ratios.append(est.bound_ratio)
-        out.append(
-            {
-                "check": f"process_walsh_n{n}_M{m}",
-                "mean": est.mean,
-                "std_error": est.std_error,
-                "trials": est.trials,
-                "Q": est.q,
-                "bound_ratio": est.bound_ratio,
-                "seed": est.seed,
-            }
-        )
+        out.append(_estimator_line(f"process_walsh_n{n}_M{m}", est))
     spread = max(ratios) / min(ratios)
     out.append(
         _property_line(
