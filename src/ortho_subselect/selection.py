@@ -142,7 +142,7 @@ def select_subset(
     floor = size_floor(a.n, report.t, epsilon, kappa)
     current = SubsetIndex.full(a.m)
     steps: list[HalvingStep] = []
-    while len(current) > min_size and len(current) >= 2 and len(current) / 2.0 >= floor:
+    while len(current) > min_size and len(current) / 2.0 >= floor:
         try:
             current, step = halve_step(
                 a, current, epsilon, child_seed(seed, len(steps)), max_retries
