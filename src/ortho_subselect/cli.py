@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import OrthoSubselectError
+from .errors import IndexOutOfRange, OrthoSubselectError
 from .generators import coherence, gen_random_ortho, gen_trig, gen_walsh
 from .jsonio import dumps, format_float, loads
 from .linalg import OrthoRowMatrix, SubsetIndex, read_matrix_text, write_matrix_text
@@ -26,12 +26,11 @@ from .processes import (
     SubspaceBasis,
     check_ball_convexity,
     check_quasi_triangle,
+    check_sandwich,
     estimate_process,
     gaussian_sup_estimates,
-    quasimetric_d,
-    quasimetric_dtilde,
 )
-from .rng import child_seed, make_rng
+from .rng import child_seed
 from .selection import (
     DEFAULT_KAPPA,
     DEFAULT_MAX_RETRIES,
@@ -179,6 +178,9 @@ def parse_subset_spec(spec: str, m: int) -> SubsetIndex:
             arr = data
         else:
             raise OrthoSubselectError(f"{spec}: no subset found in JSON")
+        # json gives bools and floats too; numpy would read True as 1
+        if not isinstance(arr, list) or any(type(x) is not int for x in arr):
+            raise IndexOutOfRange(f"{spec}: subset must be a list of integers")
     else:
         try:
             arr = [int(tok) for tok in spec.replace(",", " ").split()]
@@ -339,19 +341,6 @@ def _verify_sudakov(trials: int, seed: int) -> list[dict]:
     return out
 
 
-def _sandwich_worst(samples: int, dim: int, seed: int) -> float:
-    """Worst dtilde / (sqrt(2) d) over random pairs; must stay <= 1."""
-    rng = make_rng(seed)
-    worst = 0.0
-    x = rng.standard_normal((samples, dim))
-    y = rng.standard_normal((samples, dim))
-    for a, b in zip(x, y):
-        d = quasimetric_d(a, b)
-        if d > 0.0:
-            worst = max(worst, quasimetric_dtilde(a, b) / (math.sqrt(2.0) * d))
-    return worst
-
-
 def _verify_quasimetric(trials: int, seed: int) -> list[dict]:
     out = []
     for dim in (2, 8, 32):
@@ -362,7 +351,7 @@ def _verify_quasimetric(trials: int, seed: int) -> list[dict]:
             )
         )
         pairs = max(1, trials // 10)
-        worst = _sandwich_worst(pairs, dim, child_seed(seed, "sandwich", dim))
+        worst = check_sandwich(pairs, dim, child_seed(seed, "sandwich", dim))
         out.append(
             _property_line(
                 f"quasi_sandwich_dim{dim}", pairs, worst, 1.0, worst <= 1.0
@@ -392,6 +381,13 @@ def cmd_verify(args) -> int:
             if line.get("pass") is False:
                 all_pass = False
     return 0 if all_pass else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -450,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="estimator and property suites")
     p.add_argument("--suite", required=True,
                    choices=("process", "sudakov", "quasimetric", "all"))
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

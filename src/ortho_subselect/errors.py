@@ -23,7 +23,7 @@ class EmptySubset(OrthoSubselectError):
 
 
 class IndexOutOfRange(OrthoSubselectError):
-    """Subset index outside 1..M, or subset/matrix width mismatch."""
+    """Subset index non-integer, unordered or outside 1..M, or width mismatch."""
 
 
 class NotPowerOfTwo(OrthoSubselectError):

@@ -1,8 +1,8 @@
 """Instance generators and the column-coherence report.
 
 Three families of orthonormal-row matrices: flat +-1/sqrt(M) sign matrices
-(Sylvester order, M a power of two), trigonometric rows re-orthonormalized
-numerically (any M), and seeded Gaussian row spaces (QR-based).
+(Sylvester order, M a power of two), and trigonometric rows (any M) and
+seeded Gaussian row spaces, both orthonormalized by QR.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPowerOfTwo, RankDeficient
+from .errors import NotPowerOfTwo
 from .linalg import DEFAULT_ORTHO_TOL, OrthoRowMatrix, orthonormalize_rows
 from .rng import make_rng
 
@@ -50,7 +50,7 @@ def gen_walsh(n: int, m: int) -> OrthoRowMatrix:
 
 def gen_trig(n: int, m: int) -> OrthoRowMatrix:
     """Sampled constant/cosine/sine rows at frequencies 0..ceil(n/2),
-    re-orthonormalized numerically so any M works."""
+    orthonormalized by QR so any M works."""
     _check_shape(n, m)
     j = np.arange(m)
     rows = np.empty((n, m))
@@ -65,19 +65,10 @@ def gen_trig(n: int, m: int) -> OrthoRowMatrix:
 
 
 def gen_random_ortho(n: int, m: int, seed: int) -> OrthoRowMatrix:
-    """Orthonormal basis of the row space of a seeded n x M Gaussian sample.
-
-    QR of the transpose, with column signs fixed so the factorization is
-    canonical. Deterministic for a given seed.
-    """
+    """Orthonormal basis of the row space of a seeded n x M Gaussian sample,
+    by :func:`orthonormalize_rows`. Deterministic for a given seed."""
     _check_shape(n, m)
-    g = make_rng(seed).standard_normal((n, m))
-    q, r = np.linalg.qr(g.T)
-    rdiag = np.diagonal(r)
-    if np.min(np.abs(rdiag)) <= 1e-12 * math.sqrt(m):
-        raise RankDeficient("Gaussian sample was numerically rank deficient")
-    d = np.sign(rdiag)
-    return OrthoRowMatrix((q * d).T)
+    return orthonormalize_rows(make_rng(seed).standard_normal((n, m)))
 
 
 def coherence(a: OrthoRowMatrix) -> CoherenceReport:

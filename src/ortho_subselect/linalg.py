@@ -1,6 +1,6 @@
 """Dense linear-algebra kernels.
 
-Row orthonormalization, compressed Gram matrices over a column subset,
+Row orthonormalization by QR, compressed Gram matrices over a column subset,
 extreme eigenvalues of small symmetric matrices via LAPACK, the isometry
 deviation functional, and the on-disk matrix text format. Matrices are
 float64 numpy arrays in row-major order; every function here is pure and
@@ -79,24 +79,26 @@ class SubsetIndex:
     m: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        object.__setattr__(self, "indices", idx)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        idx = np.asarray(self.indices)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise IndexOutOfRange(f"indices must be flat integers, got {idx.dtype}")
+        if np.any(idx[1:] <= idx[:-1]):
             raise IndexOutOfRange("indices must be strictly increasing")
-        if idx and (idx[0] < 1 or idx[-1] > self.m):
+        if idx.size and (idx[0] < 1 or idx[-1] > self.m):
             raise IndexOutOfRange(
                 f"indices must lie in 1..{self.m}, got range "
                 f"[{idx[0]}, {idx[-1]}]"
             )
+        object.__setattr__(self, "indices", tuple(idx.tolist()))
 
     @classmethod
     def from_iterable(cls, indices, m: int) -> "SubsetIndex":
         """Sort ``indices`` and build a subset; duplicates are rejected."""
-        return cls(tuple(sorted(int(i) for i in indices)), m)
+        return cls(np.sort(list(indices)), m)
 
     @classmethod
     def full(cls, m: int) -> "SubsetIndex":
-        return cls(tuple(range(1, m + 1)), m)
+        return cls(np.arange(1, m + 1), m)
 
     def zero_based(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.intp) - 1
@@ -114,25 +116,23 @@ class SymEigExtremes:
 def orthonormalize_rows(m, tol: float = DEFAULT_ORTHO_TOL) -> OrthoRowMatrix:
     """Orthonormalize the rows of ``m``, preserving their span.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass per row
-    ("twice is enough"). Raises RankDeficient if some row's residual norm
-    falls to ``tol`` or below.
+    LAPACK QR of the transpose, Q's columns signed like diag(R): the rows
+    Gram-Schmidt gives, with |R_ii| the residual norm of row i. Raises
+    RankDeficient at the first row whose residual norm is ``tol`` or below.
     """
-    a = as_matrix(m).copy()
+    a = as_matrix(m)
     n, cols = a.shape
     if n > cols:
         raise RankDeficient(f"more rows than columns ({n}x{cols})")
-    for i in range(n):
-        for _ in range(2):
-            for j in range(i):
-                a[i] -= (a[j] @ a[i]) * a[j]
-        norm = float(np.linalg.norm(a[i]))
-        if norm <= tol:
-            raise RankDeficient(
-                f"row {i + 1} is linearly dependent (residual norm {norm:.3e})"
-            )
-        a[i] /= norm
-    return OrthoRowMatrix(a, tol)
+    q, r = np.linalg.qr(a.T)
+    rdiag = np.diagonal(r)
+    dependent = np.flatnonzero(np.abs(rdiag) <= tol)
+    if dependent.size:
+        i = int(dependent[0])
+        raise RankDeficient(
+            f"row {i + 1} is linearly dependent (residual norm {abs(rdiag[i]):.3e})"
+        )
+    return OrthoRowMatrix((q * np.sign(rdiag)).T, tol)
 
 
 def sym_eig_extremes(s) -> SymEigExtremes:

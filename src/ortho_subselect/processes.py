@@ -5,7 +5,7 @@ unit ball (spectral norm of the sign-compressed basis Gram matrix), Gaussian
 projection norms, the fourth-moment quasimetric with its factor-4 triangle
 inequality and ball-convexity checks, and greedy packing counts.
 
-Estimator aggregation uses compensated summation in fixed trial order.
+Estimator sums are exactly rounded (``math.fsum``), independent of order.
 """
 
 from __future__ import annotations
@@ -93,21 +93,6 @@ class QuasimetricSample:
         return cls(lhs, rhs, ratio)
 
 
-def compensated_sum(values) -> float:
-    """Neumaier-compensated sum; order-fixed, schedule-independent."""
-    total = 0.0
-    comp = 0.0
-    for x in values:
-        x = float(x)
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
-
-
 def proj_l1_l2_norm(w: SubspaceBasis) -> float:
     """l1 -> l2 operator norm of the orthogonal projection onto W.
 
@@ -148,8 +133,8 @@ def estimate_process(w: SubspaceBasis, trials: int, seed: int) -> ProcessEstimat
         return sup_process_sample(w, rademacher(rng, w.m))
 
     values = np.asarray([one_trial(k) for k in range(trials)])
-    mean = compensated_sum(values) / trials
-    var = compensated_sum((values - mean) ** 2) / (trials - 1)
+    mean = math.fsum(values) / trials
+    var = math.fsum((values - mean) ** 2) / (trials - 1)
     std_error = math.sqrt(var / trials)
     q = proj_l1_l2_norm(w)
     denom = q * math.sqrt(math.log(w.m))
@@ -185,10 +170,8 @@ def gaussian_sup_estimates(
         inf_vals[trial] = np.max(np.abs(proj))
         if wvals is not None:
             wvals[trial] = math.sqrt(float(np.sum(proj * proj * wt * wt)))
-    mean_inf = compensated_sum(inf_vals) / trials
-    mean_weighted = (
-        compensated_sum(wvals) / trials if wvals is not None else None
-    )
+    mean_inf = math.fsum(inf_vals) / trials
+    mean_weighted = math.fsum(wvals) / trials if wvals is not None else None
     return mean_inf, mean_weighted
 
 
@@ -216,6 +199,18 @@ def quasimetric_dtilde(w1, w2) -> float:
 
 def _d_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((x - y) ** 2 * (x * x + y * y), axis=-1))
+
+
+def check_sandwich(samples: int, dim: int, seed: int) -> float:
+    """Worst dtilde(w, v) / (sqrt(2) d(w, v)) over sampled Gaussian pairs
+    with d > 0 (0 if there are none); the sandwich bound keeps it <= 1."""
+    rng = make_rng(seed)
+    x = rng.standard_normal((samples, dim))
+    y = rng.standard_normal((samples, dim))
+    d = _d_batch(x, y)
+    dtilde = np.sqrt(np.sum((x * x - y * y) ** 2, axis=-1))
+    live = d > 0.0
+    return float(np.max(dtilde[live] / (math.sqrt(2.0) * d[live]), initial=0.0))
 
 
 def check_quasi_triangle(samples: int, dim: int, seed: int) -> float:

@@ -101,7 +101,7 @@ def halve_step(
         size = int(keep.sum())
         if size < 1 or size < lo or size > hi:
             continue
-        child = SubsetIndex(tuple(int(x) for x in parent_arr[keep]), parent.m)
+        child = SubsetIndex(parent_arr[keep], parent.m)
         dev = deviation(a, child)
         if dev <= epsilon_budget:
             return child, HalvingStep(p, size, dev, retry, seed)
@@ -189,7 +189,7 @@ def uniform_baseline(
     def one_trial(trial: int) -> IsometryCertificate:
         rng = make_rng(child_seed(seed, trial))
         cols = np.sort(rng.choice(a.m, size=size, replace=False)) + 1
-        return certify(a, SubsetIndex(tuple(int(c) for c in cols), a.m))
+        return certify(a, SubsetIndex(cols, a.m))
 
     return [one_trial(k) for k in range(trials)]
 

@@ -115,6 +115,23 @@ def test_certify_inline_subset_failure_path(tmp_path):
     assert "error" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "subset", [[1.5, 2.9, 3, 4, 5, 6, 7, 8], [True, 2, 3, 4, 5, 6, 7, 8]]
+)
+def test_certify_rejects_non_integer_json_subset(tmp_path, subset):
+    # truncated to 1..8 these would certify: rows of H8, deviation 0
+    mat = tmp_path / "w.txt"
+    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
+            "--output", str(mat))
+    spec = tmp_path / "cert.json"
+    spec.write_text(json.dumps({"subset": subset}))
+    res = run_cli("certify", "--input", str(mat), "--subset", str(spec),
+                  "--epsilon", "0.5")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "subset must be a list of integers" in res.stderr
+
+
 def test_certify_rejects_malformed_matrix(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n1 0\n")
@@ -178,6 +195,14 @@ def test_verify_suites_pass(tmp_path):
 
     res = run_cli("verify", "--suite", "sudakov", "--trials", "2000", "--seed", "1")
     assert res.returncode == 0
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_non_positive_trials(trials):
+    res = run_cli("verify", "--suite", "sudakov", "--trials", trials)
+    assert res.returncode == 2
+    assert "not a positive integer" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_outputs_are_byte_identical(tmp_path):

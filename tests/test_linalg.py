@@ -19,6 +19,33 @@ from ortho_subselect import (
     sym_eig_extremes,
     write_matrix_text,
 )
+from ortho_subselect import generators
+from ortho_subselect.generators import gen_trig
+
+
+def _mgs_rows(m, tol: float = 1e-10) -> np.ndarray:
+    """Reference oracle: modified Gram-Schmidt with one re-orthogonalization
+    pass per row ("twice is enough"), raising at the first row whose
+    residual norm is ``tol`` or below."""
+    a = np.array(m, dtype=np.float64)
+    for i in range(a.shape[0]):
+        for _ in range(2):
+            for j in range(i):
+                a[i] -= (a[j] @ a[i]) * a[j]
+        norm = float(np.linalg.norm(a[i]))
+        if norm <= tol:
+            raise RankDeficient(
+                f"row {i + 1} is linearly dependent (residual norm {norm:.3e})"
+            )
+        a[i] /= norm
+    return a
+
+
+def _raw_trig_rows(n: int, m: int) -> np.ndarray:
+    """The rows gen_trig hands to orthonormalize_rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "orthonormalize_rows", np.array)
+        return gen_trig(n, m)
 
 
 def test_orthonormalize_identity_is_fixed_point():
@@ -44,6 +71,36 @@ def test_orthonormalize_random_gaussian():
 def test_orthonormalize_rank_deficient_raises():
     with pytest.raises(RankDeficient):
         orthonormalize_rows([[1.0, 2.0], [2.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "kind,n,m", [("trig", 8, 100), ("trig", 32, 16384), ("gauss", 4, 16),
+                 ("gauss", 16, 64)]
+)
+def test_orthonormalize_matches_mgs_oracle(kind, n, m):
+    if kind == "trig":
+        rows = _raw_trig_rows(n, m)
+    else:
+        rows = np.random.default_rng(n).standard_normal((n, m))
+    got = orthonormalize_rows(rows).mat
+    np.testing.assert_allclose(got, _mgs_rows(rows), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0, 0.0], [1.0, 1e-13, 0.0]]]
+)
+def test_orthonormalize_and_oracle_reject_dependent_row(rows):
+    with pytest.raises(RankDeficient, match="row 2"):
+        orthonormalize_rows(rows)
+    with pytest.raises(RankDeficient, match="row 2"):
+        _mgs_rows(rows)
+
+
+def test_orthonormalize_and_oracle_accept_small_residual():
+    rows = [[1.0, 0.0, 0.0], [1.0, 1e-7, 0.0]]
+    got = orthonormalize_rows(rows).mat
+    np.testing.assert_allclose(got, _mgs_rows(rows), rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(np.abs(got), np.eye(2, 3), rtol=0.0, atol=1e-8)
 
 
 def test_ortho_row_matrix_rejects_bad_input():
@@ -147,6 +204,22 @@ def test_gram_errors():
         SubsetIndex((2, 1), 2)
     with pytest.raises(IndexOutOfRange):
         compressed_gram(a, SubsetIndex((1,), 3))  # width mismatch
+
+
+def test_subset_index_requires_flat_integers():
+    with pytest.raises(IndexOutOfRange):
+        SubsetIndex((1.7, 2.2), 4)  # int() would have truncated to (1, 2)
+    with pytest.raises(IndexOutOfRange):
+        SubsetIndex((True, False), 4)
+    with pytest.raises(IndexOutOfRange):
+        SubsetIndex(((1, 2),), 4)
+    i = SubsetIndex(np.array([2, 3], dtype=np.intp), 4)
+    assert i == SubsetIndex((2, 3), 4)
+    assert all(type(x) is int for x in i.indices)
+    assert len(SubsetIndex((), 4)) == 0
+    assert SubsetIndex.from_iterable({3, 1}, 4).indices == (1, 3)
+    with pytest.raises(IndexOutOfRange):
+        SubsetIndex.from_iterable([2, 1, 2], 4)
 
 
 def test_deviation_full_set_is_zero():

@@ -27,7 +27,7 @@ from ortho_subselect import (
     rademacher,
     sup_process_sample,
 )
-from ortho_subselect.processes import compensated_sum
+from ortho_subselect.processes import check_sandwich
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 HALF_NORMAL_STD = math.sqrt(1.0 - 2.0 / math.pi)
@@ -143,7 +143,7 @@ def test_estimate_one_dim_equals_direct_scalar_simulation():
         rng = make_rng(child_seed(seed, trial))
         signs = rademacher(rng, m)
         values[trial] = abs(float((v * signs) @ v))
-    direct_mean = compensated_sum(values) / trials
+    direct_mean = math.fsum(values) / trials
     est = estimate_process(w, trials, seed)
     assert est.mean == direct_mean
 
@@ -208,6 +208,22 @@ def test_quasimetric_sandwich_property(x, y):
     d = quasimetric_d(x, y)
     dt = quasimetric_dtilde(x, y)
     assert dt <= math.sqrt(2.0) * d or dt == d == 0.0
+
+
+def test_check_sandwich_matches_pairwise_loop():
+    # reference: the scalar per-pair loop over the same draws
+    for samples, dim, seed in ((1, 1, 0), (500, 2, 3), (200, 32, 4)):
+        rng = make_rng(seed)
+        x = rng.standard_normal((samples, dim))
+        y = rng.standard_normal((samples, dim))
+        worst = 0.0
+        for a, b in zip(x, y):
+            d = quasimetric_d(a, b)
+            if d > 0.0:
+                worst = max(worst, quasimetric_dtilde(a, b) / (math.sqrt(2.0) * d))
+        assert check_sandwich(samples, dim, seed) == worst
+        assert worst <= 1.0
+    assert check_sandwich(0, 2, seed=0) == 0.0
 
 
 def test_triangle_ratio_bounded():
@@ -281,7 +297,3 @@ def test_packing_covering_form_with_fitted_constant():
     for r, c in zip(radii, counts):
         assert math.log(c) <= (fitted * q * math.sqrt(math.log(8)) / r) ** 2 + 1e-9
 
-
-def test_compensated_sum_extreme_cancellation():
-    values = [1e16, 1.0, -1e16]
-    assert compensated_sum(values) == 1.0
