@@ -14,7 +14,7 @@ import argparse
 import math
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from .errors import IndexOutOfRange, OrthoSubselectError
@@ -146,22 +146,12 @@ def study_summary(cfg: StudyConfig, rows: list[StudyRow]) -> dict:
 
 
 def study_rows_to_csv(rows: list[StudyRow]) -> str:
+    """CSV_HEADER plus one line per row; StudyRow's fields are the columns."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.n),
-                    str(r.m),
-                    str(r.trial),
-                    str(r.final_size),
-                    format_float(r.epsilon_achieved),
-                    str(r.steps),
-                    str(r.total_retries),
-                    format_float(r.ratio),
-                ]
-            )
-        )
+        lines.append(",".join(
+            format_float(v) if isinstance(v, float) else str(v) for v in astuple(r)
+        ))
     return "\n".join(lines) + "\n"
 
 

@@ -23,7 +23,7 @@ class CoherenceReport:
 
     t: float
     per_column_norms: tuple[float, ...]
-    argmax_column: int  # 1-based
+    argmax_column: int  # 1-based; the first within a relative 1e-12 of the max
 
 
 def _check_shape(n: int, m: int) -> None:
@@ -74,9 +74,10 @@ def gen_random_ortho(n: int, m: int, seed: int) -> OrthoRowMatrix:
 def coherence(a: OrthoRowMatrix) -> CoherenceReport:
     """Compute the coherence t and the per-column norms it maximizes over."""
     norms = np.sqrt(np.sum(a.mat * a.mat, axis=0))
-    jmax = int(np.argmax(norms))
-    t = math.sqrt(a.m / a.n) * float(norms[jmax])
-    return CoherenceReport(t, tuple(float(x) for x in norms), jmax + 1)
+    t = math.sqrt(a.m / a.n) * float(np.max(norms))
+    # lowest column within rounding of the maximum, so exact ties pick the first
+    jmax = int(np.argmax(norms >= np.max(norms) * (1.0 - 1e-12)))
+    return CoherenceReport(t, tuple(norms.tolist()), jmax + 1)
 
 
 __all__ = [

@@ -185,10 +185,9 @@ def write_matrix_text(path, m) -> None:
     """Write a matrix as `n M` header plus n rows of 17-significant-digit
     floats separated by single spaces."""
     a = as_matrix(m)
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    # a handle, not the path: savetxt would gzip a path ending in .gz
+    with open(path, "w", encoding="ascii") as f:
+        np.savetxt(f, a, fmt="%.17g", header=f"{a.shape[0]} {a.shape[1]}", comments="")
 
 
 def read_matrix_text(path) -> np.ndarray:
@@ -210,18 +209,13 @@ def read_matrix_text(path) -> np.ndarray:
         raise MatrixFormatError(
             f"{path}: expected {n} data rows, found {len(lines) - 1}"
         )
-    rows = []
-    for r, line in enumerate(lines[1:], start=1):
-        fields = line.split()
-        if len(fields) != m:
-            raise MatrixFormatError(
-                f"{path}: row {r} has {len(fields)} values, expected {m}"
-            )
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError as exc:
-            raise MatrixFormatError(f"{path}: row {r} has a non-number") from exc
-    a = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise MatrixFormatError(f"{path}: non-finite entry")
-    return a
+    a = np.empty((n, m))  # row by row: all tokens at once take ~10x its memory
+    try:
+        for r, line in enumerate(lines[1:], start=1):
+            fields = line.split()
+            if len(fields) != m:
+                raise ValueError(f"row {r} has {len(fields)} values, expected {m}")
+            a[r - 1] = fields  # numpy parses each string as float() does
+        return as_matrix(a)
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from exc

@@ -186,8 +186,7 @@ def _pair_arrays(w1, w2) -> tuple[np.ndarray, np.ndarray]:
 def quasimetric_d(w1, w2) -> float:
     """Fourth-moment quasimetric
     d(w, v) = (sum_i (w_i - v_i)^2 (w_i^2 + v_i^2))^(1/2)."""
-    a, b = _pair_arrays(w1, w2)
-    return float(np.sqrt(np.sum((a - b) ** 2 * (a * a + b * b))))
+    return float(_d_batch(*_pair_arrays(w1, w2)))
 
 
 def quasimetric_dtilde(w1, w2) -> float:
@@ -331,7 +330,7 @@ def packing_count(points, metric: str, radius: float, weights=None) -> int:
     def dist_to_kept(p, kept):
         diff = kept - p
         if metric == "d":
-            return np.sqrt(np.sum(diff**2 * (kept**2 + p**2), axis=1))
+            return _d_batch(kept, p)
         if metric == "linf":
             return np.max(np.abs(diff), axis=1)
         return np.sqrt(np.sum(diff**2 * wt**2, axis=1))

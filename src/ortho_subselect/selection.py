@@ -11,7 +11,7 @@ kept on the strength of a probabilistic estimate alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -138,6 +138,10 @@ def select_subset(
         raise InvalidEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
     if min_size < 1:
         raise SizeOutOfRange(f"min_size must be >= 1, got {min_size}")
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     report = coherence(a)
     floor = size_floor(a.n, report.t, epsilon, kappa)
     current = SubsetIndex.full(a.m)
@@ -212,15 +216,6 @@ def trace_to_dict(trace: SelectionTrace) -> dict:
     """Trace in its normative JSON field order."""
     return {
         "epsilon_target": trace.epsilon_target,
-        "steps": [
-            {
-                "parent_size": s.parent_size,
-                "child_size": s.child_size,
-                "deviation_after": s.deviation_after,
-                "retries_used": s.retries_used,
-                "seed": s.seed,
-            }
-            for s in trace.steps
-        ],
+        "steps": [asdict(s) for s in trace.steps],  # fields in key order
         "final_subset": list(trace.final_subset.indices),
     }

@@ -2,12 +2,20 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ortho_subselect import read_matrix_text
-from ortho_subselect.cli import StudyConfig, run_study, study_summary
+from ortho_subselect.cli import (
+    CSV_HEADER,
+    StudyConfig,
+    StudyRow,
+    run_study,
+    study_rows_to_csv,
+    study_summary,
+)
 
 CMD = [sys.executable, "-m", "ortho_subselect"]
 
@@ -132,6 +140,32 @@ def test_certify_rejects_non_integer_json_subset(tmp_path, subset):
     assert "subset must be a list of integers" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "flag", [("--max-retries", "0"), ("--max-retries", "-3"), ("--kappa", "-1"),
+             ("--kappa", "inf"), ("--kappa", "nan")]
+)
+def test_select_rejects_bad_retries_and_kappa(tmp_path, flag):
+    mat = tmp_path / "w.txt"
+    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
+            "--output", str(mat))
+    res = run_cli("select", "--input", str(mat), "--epsilon", "0.5",
+                  *flag, "--output", str(tmp_path / "c.json"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ")
+    assert flag[0][2:].replace("-", "_") in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_study_rejects_nan_kappa(tmp_path):
+    res = run_cli("study", "--kind", "walsh", "--n-list", "8", "--m-factor",
+                  "16", "--epsilon", "0.5", "--trials", "1", "--kappa", "nan",
+                  "--output", str(tmp_path / "s.csv"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: kappa")
+    assert "Traceback" not in res.stderr
+
+
 def test_certify_rejects_malformed_matrix(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n1 0\n")
@@ -164,6 +198,16 @@ def test_study_csv_shape(tmp_path):
     summary = json.loads(res.stdout)
     assert summary["per_n"][0]["n"] == 8
     assert summary["median_ratio_spread"] >= 1.0
+
+
+def test_study_csv_columns_are_study_row_fields():
+    names = [f.name for f in fields(StudyRow)]
+    assert CSV_HEADER.split(",") == ["M" if c == "m" else c for c in names]
+    row = StudyRow(n=8, m=128, trial=3, final_size=40, epsilon_achieved=0.1,
+                   steps=2, total_retries=7, ratio=1 / 3)
+    assert study_rows_to_csv([row]) == (
+        CSV_HEADER + "\n8,128,3,40,0.10000000000000001,2,7,0.33333333333333331\n"
+    )
 
 
 def test_study_api_matches_cli(tmp_path):

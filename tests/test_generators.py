@@ -109,3 +109,22 @@ def test_generator_shape_validation():
         gen_trig(5, 4)
     with pytest.raises(ValueError):
         gen_random_ortho(0, 4, seed=0)
+
+
+@pytest.mark.parametrize("n, m", [(32, 16384), (7, 301)])
+def test_coherence_argmax_ignores_rounding_on_trig(n, m):
+    # every trig column norm is sqrt(n/M) in exact arithmetic
+    rep = coherence(gen_trig(n, m))
+    assert rep.argmax_column == 1
+    assert rep.t == math.sqrt(m / n) * max(rep.per_column_norms)
+
+
+def test_coherence_argmax_finds_a_later_maximum():
+    c, s = math.sqrt(0.3), math.sqrt(0.7)
+    a = OrthoRowMatrix(np.array([[c, s, 0.0], [0.0, 0.0, 1.0]]))
+    rep = coherence(a)
+    assert rep.argmax_column == 3
+    assert rep.t == math.sqrt(3 / 2)
+    # a lead of 1e-9, far above rounding, still wins
+    a = OrthoRowMatrix(np.sqrt([[0.5 - 1e-9, 0.5 + 1e-9]]))
+    assert coherence(a).argmax_column == 2

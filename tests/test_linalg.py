@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,22 @@ def _mgs_rows(m, tol: float = 1e-10) -> np.ndarray:
             )
         a[i] /= norm
     return a
+
+
+def _fstring_write(path, m) -> None:
+    """Reference oracle: the per-value f-string matrix writer."""
+    a = np.asarray(m, dtype=np.float64)
+    lines = [f"{a.shape[0]} {a.shape[1]}"]
+    for row in a:
+        lines.append(" ".join(f"{x:.17g}" for x in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _float_loop_read(path) -> np.ndarray:
+    """Reference oracle: the body of a well-formed matrix file parsed one
+    value at a time with float()."""
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    return np.asarray([[float(f) for f in ln.split()] for ln in lines[1:]])
 
 
 def _raw_trig_rows(n: int, m: int) -> np.ndarray:
@@ -270,6 +287,9 @@ def test_matrix_text_round_trip(tmp_path):
         "2 2\n1 2\n3 x\n",
         "2 2\n1 2\n3 inf\n",
         "0 2\n",
+        "2 2\n1 2\n3 4\n5 6\n",
+        "2 2\n1 2\n3 4 5\n",
+        "2 2\n1 2\n3 nan\n",
     ],
 )
 def test_matrix_text_rejects_malformed(tmp_path, text):
@@ -277,3 +297,78 @@ def test_matrix_text_rejects_malformed(tmp_path, text):
     path.write_text(text)
     with pytest.raises(MatrixFormatError):
         read_matrix_text(path)
+
+
+def _format_cases():
+    rng = np.random.default_rng(12)
+    wide = rng.standard_normal((6, 50)) * 10.0 ** rng.integers(
+        -300, 301, size=(6, 50)
+    )
+    tiny = np.array([[5e-324, -5e-324, 2.2250738585072009e-308, 1e-310],
+                     [-0.0, 0.0, -1e-320, 1.7976931348623157e308]])
+    return {"trig_32x16384": gen_trig(32, 16384).mat, "exp_pm300": wide,
+            "subnormal_negzero": tiny}
+
+
+FORMAT_CASES = _format_cases()
+
+
+@pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+def test_write_matrix_text_matches_fstring_oracle(tmp_path, case):
+    m = FORMAT_CASES[case]
+    write_matrix_text(tmp_path / "new.txt", m)
+    _fstring_write(tmp_path / "old.txt", m)
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+def test_read_matrix_text_matches_float_loop_oracle(tmp_path, case):
+    path = tmp_path / "m.txt"
+    _fstring_write(path, FORMAT_CASES[case])
+    new, old = read_matrix_text(path), _float_loop_read(path)
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()  # bitwise, so -0.0 counts
+
+
+EDGE_TOKENS = [
+    "1_0", "1__0", "_1", "1_000.000_1", "1e-400", "1e400", "-1e400",
+    "1.7976931348623159e308", "Infinity", "-inf", "nan", "-NaN", "0x1p3",
+    "0x10", "-0", "+.5", "5.", "1E5", "1e", "0000.1", "4.9e-324",
+    "2.4703282292062328e-324", "9007199254740993",
+]
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_read_matrix_text_parses_tokens_like_float(tmp_path, token):
+    path = tmp_path / "m.txt"
+    path.write_text(f"1 2\n{token} 1\n", encoding="ascii")
+    try:
+        value = float(token)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
+        with pytest.raises(MatrixFormatError):
+            read_matrix_text(path)
+    else:
+        got = read_matrix_text(path)
+        assert got.tobytes() == _float_loop_read(path).tobytes()
+        assert got[0, 0].tobytes() == np.float64(value).tobytes()
+
+
+def test_matrix_text_errors_name_the_defect(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("2 2\n1 2\n3 4 5\n")
+    with pytest.raises(MatrixFormatError, match="row 2 has 3 values"):
+        read_matrix_text(path)
+    path.write_text("2 2\n1 2\n3 x7\n")
+    with pytest.raises(MatrixFormatError, match="float: 'x7'"):
+        read_matrix_text(path)
+    path.write_text("2 2\n1 2\n3 nan\n")
+    with pytest.raises(MatrixFormatError, match="entries must be finite"):
+        read_matrix_text(path)
+
+
+def test_write_matrix_text_gz_suffix_stays_plain_ascii(tmp_path):
+    path = tmp_path / "m.txt.gz"
+    write_matrix_text(path, [[0.5, -0.0]])
+    assert path.read_bytes() == b"1 2\n0.5 -0\n"

@@ -200,7 +200,8 @@ def test_certificate_json_field_order():
     ]
     td = trace_to_dict(trace)
     assert list(td) == ["epsilon_target", "steps", "final_subset"]
-    for step in td["steps"]:
+    assert len(td["steps"]) == len(trace.steps) >= 1
+    for step, s in zip(td["steps"], trace.steps):
         assert list(step) == [
             "parent_size",
             "child_size",
@@ -208,3 +209,26 @@ def test_certificate_json_field_order():
             "retries_used",
             "seed",
         ]
+        assert list(step.values()) == [
+            s.parent_size,
+            s.child_size,
+            s.deviation_after,
+            s.retries_used,
+            s.seed,
+        ]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_retries": 0}, {"max_retries": -3}, {"kappa": -1.0},
+     {"kappa": math.inf}, {"kappa": math.nan}],
+)
+def test_select_rejects_bad_retries_and_kappa(kwargs):
+    (name, value), = kwargs.items()
+    with pytest.raises(ValueError, match=f"{name} must be .*, got {value}"):
+        select_subset(gen_walsh(4, 16), 0.5, seed=0, **kwargs)
+
+
+def test_select_zero_kappa_is_legal():
+    cert, _ = select_subset(gen_walsh(4, 16), 0.5, seed=0, kappa=0.0)
+    assert cert.epsilon_achieved <= 0.5
