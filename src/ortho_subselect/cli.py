@@ -443,8 +443,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    # the parser goes out of scope here, so main does not hold it while the
+    # command runs
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and args.suite in ("process", "all") and args.trials == 1:
+        # the process suite's standard errors need two trials
+        parser.error("argument --trials: the process suite needs at least 2")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # OrthoSubselectError is a ValueError

@@ -25,6 +25,10 @@ from .errors import (
 from .linalg import DEFAULT_ORTHO_TOL, OrthoRowMatrix, as_matrix, sym_eig_extremes
 from .rng import child_seed, make_rng, rademacher
 
+# Entries per batch of Gaussian draws: keeps a batch's arrays at 32 KiB
+# each, whatever the trial count.
+_BLOCK_ENTRIES = 1 << 12
+
 
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
@@ -163,13 +167,18 @@ def gaussian_sup_estimates(
             raise BadWeights("weights must be finite")
     inf_vals = np.empty(trials)
     wvals = np.empty(trials) if wt is not None else None
-    for trial in range(trials):
-        rng = make_rng(child_seed(seed, trial))
-        g = rng.standard_normal(w.m)
-        proj = w.u @ (w.u.T @ g)
-        inf_vals[trial] = np.max(np.abs(proj))
+    block = max(1, _BLOCK_ENTRIES // w.m)
+    g = np.empty((min(block, trials), w.m))
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        for row, trial in enumerate(range(start, stop)):
+            make_rng(child_seed(seed, trial)).standard_normal(out=g[row])
+        # einsum without ``optimize`` stays off threaded BLAS, whose idle
+        # workers spin for longer than these small contractions take
+        proj = np.einsum("tn,mn->tm", np.einsum("tm,mn->tn", g[: stop - start], w.u), w.u)
+        inf_vals[start:stop] = np.max(np.abs(proj), axis=1)
         if wvals is not None:
-            wvals[trial] = math.sqrt(float(np.sum(proj * proj * wt * wt)))
+            wvals[start:stop] = np.sqrt(np.sum(proj * proj * wt * wt, axis=1))
     mean_inf = math.fsum(inf_vals) / trials
     mean_weighted = math.fsum(wvals) / trials if wvals is not None else None
     return mean_inf, mean_weighted
@@ -203,6 +212,8 @@ def _d_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def check_sandwich(samples: int, dim: int, seed: int) -> float:
     """Worst dtilde(w, v) / (sqrt(2) d(w, v)) over sampled Gaussian pairs
     with d > 0 (0 if there are none); the sandwich bound keeps it <= 1."""
+    if samples < 0 or dim < 1:
+        raise ValueError("need samples >= 0 and dim >= 1")
     rng = make_rng(seed)
     x = rng.standard_normal((samples, dim))
     y = rng.standard_normal((samples, dim))
@@ -250,23 +261,29 @@ def _triangle_batches(rng, samples, dim):
     yield base, base + delta, base + 2.0 * delta
 
 
-def _ball_point(rng, center: np.ndarray, rho: float, max_shrink: int = 80):
-    """One point u with d(u, center) <= rho, by shrinking a Gaussian offset.
+def _ball_points(centers, deltas, fracs, rho: float, max_shrink: int = 80):
+    """Points u_i with d(u_i, centers_i) <= rho, by shrinking Gaussian offsets.
 
-    The proposal aims at a random fraction of the radius and shrinks
-    multiplicatively until it lands inside; d(center + a*delta, center) -> 0
-    as a -> 0, so termination only needs enough shrink steps.
+    Row i proposes centers_i + alpha * deltas_i, starting at alpha = 1, aims
+    at the fraction fracs_i of the radius and shrinks alpha multiplicatively
+    until the proposal lands inside; d(center + a*delta, center) -> 0 as
+    a -> 0, so termination only needs enough shrink steps. Returns the
+    points and the ascending indices of the rows that did not land within
+    ``max_shrink`` steps.
     """
-    delta = rng.standard_normal(center.shape)
-    frac = rng.uniform(0.05, 1.0)
-    alpha = 1.0
+    points = np.empty_like(centers)
+    alpha = np.ones(len(centers))
+    live = np.arange(len(centers))
     for _ in range(max_shrink):
-        candidate = center + alpha * delta
-        dist = quasimetric_d(candidate, center)
-        if dist <= rho:
-            return candidate
-        alpha *= min(0.7, 0.9 * frac * rho / dist)
-    return None
+        if live.size == 0:
+            break
+        candidate = centers[live] + alpha[live, None] * deltas[live]
+        dist = _d_batch(candidate, centers[live])
+        inside = dist <= rho
+        points[live[inside]] = candidate[inside]
+        live, dist = live[~inside], dist[~inside]
+        alpha[live] *= np.minimum(0.7, 0.9 * fracs[live] * rho / dist)
+    return points, live
 
 
 def check_ball_convexity(samples: int, dim: int, rho: float, seed: int) -> float:
@@ -278,32 +295,42 @@ def check_ball_convexity(samples: int, dim: int, rho: float, seed: int) -> float
     """
     if samples < 1 or dim < 1:
         raise ValueError("need samples >= 1 and dim >= 1")
-    if rho <= 0.0:
-        raise ValueError(f"rho must be > 0, got {rho}")
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise ValueError(f"rho must be finite and > 0, got {rho}")
     rng = make_rng(seed)
     combos_per_hull = 8
     hull_size = 6
-    worst = 0.0
-    done = 0
-    while done < samples:
-        center = rng.standard_normal(dim)
-        points = []
-        for _ in range(hull_size):
-            point = _ball_point(rng, center, rho)
-            if point is None:
-                raise SamplingFailed(
-                    f"could not sample inside a radius-{rho} ball around "
-                    f"a point with max coordinate {np.max(np.abs(center)):.3g}"
-                )
-            points.append(point)
-        hull = np.asarray(points)
-        take = min(combos_per_hull, samples - done)
-        for _ in range(take):
-            lam = rng.dirichlet(np.ones(hull_size))
-            v = lam @ hull
-            worst = max(worst, quasimetric_d(v, center) / rho)
-        done += take
-    return worst
+    hulls = -(-samples // combos_per_hull)
+    # No draw depends on a computed distance, so every draw is made first,
+    # hull by hull in the sampler's order: center, (offset, fraction) per
+    # hull point, then the combination weights.
+    centers = np.empty((hulls, dim))
+    deltas = np.empty((hulls, hull_size, dim))
+    fracs = np.empty((hulls, hull_size))
+    lams = np.empty((samples, hull_size))
+    for h in range(hulls):
+        rng.standard_normal(out=centers[h])
+        for p in range(hull_size):
+            rng.standard_normal(out=deltas[h, p])
+            fracs[h, p] = rng.uniform(0.05, 1.0)
+        lam = lams[h * combos_per_hull : (h + 1) * combos_per_hull]
+        lam[:] = rng.dirichlet(np.ones(hull_size), size=len(lam))
+    points, failed = _ball_points(
+        np.repeat(centers, hull_size, axis=0),
+        deltas.reshape(-1, dim),
+        fracs.reshape(-1),
+        rho,
+    )
+    if failed.size:
+        center = centers[failed[0] // hull_size]
+        raise SamplingFailed(
+            f"could not sample inside a radius-{rho} ball around "
+            f"a point with max coordinate {np.max(np.abs(center)):.3g}"
+        )
+    hull_of = np.arange(samples) // combos_per_hull
+    # one vector-matrix product per combination, as lam @ hull evaluates it
+    v = np.matmul(lams[:, None, :], points.reshape(hulls, hull_size, dim)[hull_of])
+    return float(np.max(_d_batch(v[:, 0], centers[hull_of]) / rho, initial=0.0))
 
 
 def packing_count(points, metric: str, radius: float, weights=None) -> int:

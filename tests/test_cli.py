@@ -249,6 +249,18 @@ def test_verify_rejects_non_positive_trials(trials):
     assert "Traceback" not in res.stderr
 
 
+def test_verify_one_trial_is_a_usage_error_only_for_the_process_suite():
+    for suite in ("process", "all"):
+        res = run_cli("verify", "--suite", suite, "--trials", "1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "the process suite needs at least 2" in res.stderr
+    for suite in ("sudakov", "quasimetric"):
+        res = run_cli("verify", "--suite", suite, "--trials", "1")
+        assert res.returncode == 0
+        assert all(json.loads(ln)["samples"] == 1 for ln in res.stdout.splitlines())
+
+
 def test_cli_outputs_are_byte_identical(tmp_path):
     args = ("select", "--input", None, "--epsilon", "0.6", "--seed", "11")
     mat = tmp_path / "w.txt"

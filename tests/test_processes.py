@@ -37,6 +37,52 @@ def ones_span(m: int) -> SubspaceBasis:
     return SubspaceBasis(np.full((m, 1), 1.0 / math.sqrt(m)))
 
 
+def _gaussian_sup_loop(w, weights, trials, seed):
+    """Reference: one projection per trial, drawn and reduced one at a time."""
+    wt = None if weights is None else np.asarray(weights, dtype=np.float64)
+    inf_vals = np.empty(trials)
+    wvals = np.empty(trials)
+    for trial in range(trials):
+        rng = make_rng(child_seed(seed, trial))
+        g = rng.standard_normal(w.m)
+        proj = w.u @ (w.u.T @ g)
+        inf_vals[trial] = np.max(np.abs(proj))
+        if wt is not None:
+            wvals[trial] = math.sqrt(float(np.sum(proj * proj * wt * wt)))
+    mean_weighted = None if wt is None else math.fsum(wvals) / trials
+    return math.fsum(inf_vals) / trials, mean_weighted
+
+
+def _ball_point(rng, center, rho, max_shrink=80):
+    """Reference: one ball point, shrinking its own Gaussian offset."""
+    delta = rng.standard_normal(center.shape)
+    frac = rng.uniform(0.05, 1.0)
+    alpha = 1.0
+    for _ in range(max_shrink):
+        candidate = center + alpha * delta
+        dist = quasimetric_d(candidate, center)
+        if dist <= rho:
+            return candidate
+        alpha *= min(0.7, 0.9 * frac * rho / dist)
+    return None
+
+
+def _ball_convexity_loop(samples, dim, rho, seed):
+    """Reference: hull by hull, point by point, combination by combination."""
+    rng = make_rng(seed)
+    worst = 0.0
+    done = 0
+    while done < samples:
+        center = rng.standard_normal(dim)
+        hull = np.asarray([_ball_point(rng, center, rho) for _ in range(6)])
+        take = min(8, samples - done)
+        for _ in range(take):
+            lam = rng.dirichlet(np.ones(6))
+            worst = max(worst, quasimetric_d(lam @ hull, center) / rho)
+        done += take
+    return worst
+
+
 def test_basis_validation():
     with pytest.raises(NotOrthonormal):
         SubspaceBasis(np.ones((4, 2)))
@@ -181,6 +227,30 @@ def test_gaussian_sup_weighted_variants():
     assert abs(weighted - HALF_NORMAL_MEAN) <= 3.0 * se
 
 
+def test_gaussian_sup_matches_per_trial_loop_on_coordinate_spans():
+    # trial counts straddle the 64-row batches used at M = 64
+    rng = np.random.default_rng(17)
+    for m, dims in ((64, 1), (64, 5), (8, 8)):
+        w = SubspaceBasis.coordinate_span(m, dims)
+        for weights in (None, rng.standard_normal(m), [1.0] + [0.0] * (m - 1)):
+            for trials, seed in ((1, 0), (64, 1), (65, 2), (300, 3)):
+                got = gaussian_sup_estimates(w, weights, trials, seed)
+                assert got == _gaussian_sup_loop(w, weights, trials, seed)
+
+
+def test_gaussian_sup_matches_per_trial_loop_on_dense_bases():
+    # the batched contraction sums in another order than BLAS matvecs
+    rng = np.random.default_rng(18)
+    for a in (gen_walsh(8, 128), gen_random_ortho(5, 40, seed=19)):
+        w = SubspaceBasis.from_ortho_rows(a)
+        weights = rng.standard_normal(a.m)
+        for trials, seed in ((1, 0), (33, 1), (700, 2)):
+            got = gaussian_sup_estimates(w, weights, trials, seed)
+            want = _gaussian_sup_loop(w, weights, trials, seed)
+            assert abs(got[0] - want[0]) <= 1e-12
+            assert abs(got[1] - want[1]) <= 1e-12
+
+
 def test_gaussian_sup_rejects_bad_weights():
     w = SubspaceBasis.coordinate_span(8, 1)
     with pytest.raises(BadWeights):
@@ -224,6 +294,9 @@ def test_check_sandwich_matches_pairwise_loop():
         assert check_sandwich(samples, dim, seed) == worst
         assert worst <= 1.0
     assert check_sandwich(0, 2, seed=0) == 0.0
+    for samples, dim in ((-5, 2), (10, 0)):
+        with pytest.raises(ValueError, match="samples >= 0 and dim >= 1"):
+            check_sandwich(samples, dim, seed=0)
 
 
 def test_triangle_ratio_bounded():
@@ -244,17 +317,47 @@ def test_worst_triangle_sample_record():
 
 def test_ball_convexity_bounded():
     assert check_ball_convexity(1_000, 6, rho=0.3, seed=7) <= 4.0
-    with pytest.raises(ValueError):
-        check_ball_convexity(10, 6, rho=0.0, seed=0)
+    for rho in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho must be finite and > 0"):
+            check_ball_convexity(10, 6, rho=rho, seed=0)
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.3, 3.0])
+@pytest.mark.parametrize("dim", [1, 6, 32])
+def test_ball_convexity_matches_per_combination_loop(dim, rho):
+    for seed, samples in enumerate((1, 7, 8, 9, 1000)):
+        want = _ball_convexity_loop(samples, dim, rho, seed)
+        assert check_ball_convexity(samples, dim, rho, seed) == want
 
 
 def test_ball_convexity_reports_sampler_failure(monkeypatch):
     from ortho_subselect import SamplingFailed
     from ortho_subselect import processes as proc
 
-    monkeypatch.setattr(proc, "_ball_point", lambda *args, **kw: None)
-    with pytest.raises(SamplingFailed):
+    def message(center):
+        return (
+            "could not sample inside a radius-0.1 ball around a point with "
+            f"max coordinate {np.max(np.abs(center)):.3g}"
+        )
+
+    monkeypatch.setattr(proc, "_ball_points", lambda c, *args: (c, np.arange(len(c))))
+    first = make_rng(0).standard_normal(4)
+    with pytest.raises(SamplingFailed) as err:
         check_ball_convexity(10, 4, rho=0.1, seed=0)
+    assert str(err.value) == message(first)
+
+    # only the second hull (points 6..11) fails: its center is named
+    seen = []
+
+    def second_hull_fails(centers, *args):
+        seen.append(centers[6])
+        return centers, np.array([7, 11])
+
+    monkeypatch.setattr(proc, "_ball_points", second_hull_fails)
+    with pytest.raises(SamplingFailed) as err:
+        check_ball_convexity(24, 4, rho=0.1, seed=0)
+    assert str(err.value) == message(seen[0])
+    assert str(err.value) != message(first)
 
 
 def test_estimate_process_needs_two_trials():
