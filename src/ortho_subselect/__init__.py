@@ -38,7 +38,6 @@ from .linalg import (
 )
 from .processes import (
     ProcessEstimate,
-    QuasimetricSample,
     SubspaceBasis,
     check_ball_convexity,
     check_quasi_triangle,
@@ -49,7 +48,6 @@ from .processes import (
     quasimetric_d,
     quasimetric_dtilde,
     sup_process_sample,
-    worst_triangle_sample,
 )
 from .rng import child_seed, make_rng, rademacher
 from .selection import (

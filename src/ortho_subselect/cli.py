@@ -17,7 +17,7 @@ import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
-from .errors import IndexOutOfRange, OrthoSubselectError
+from .errors import IndexOutOfRange, InvalidEpsilon, OrthoSubselectError
 from .generators import coherence, gen_random_ortho, gen_trig, gen_walsh
 from .jsonio import dumps, format_float, loads
 from .linalg import OrthoRowMatrix, SubsetIndex, read_matrix_text, write_matrix_text
@@ -222,6 +222,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if not (math.isfinite(args.epsilon) and args.epsilon >= 0.0):
+        raise InvalidEpsilon(f"epsilon must be finite and >= 0, got {args.epsilon}")
     a = OrthoRowMatrix(read_matrix_text(args.input))
     subset = parse_subset_spec(args.subset, a.m)
     cert = certify(a, subset)

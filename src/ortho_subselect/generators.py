@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPowerOfTwo
-from .linalg import DEFAULT_ORTHO_TOL, OrthoRowMatrix, orthonormalize_rows
+from .linalg import OrthoRowMatrix, orthonormalize_rows
 from .rng import make_rng
 
 
@@ -78,13 +78,3 @@ def coherence(a: OrthoRowMatrix) -> CoherenceReport:
     # lowest column within rounding of the maximum, so exact ties pick the first
     jmax = int(np.argmax(norms >= np.max(norms) * (1.0 - 1e-12)))
     return CoherenceReport(t, tuple(norms.tolist()), jmax + 1)
-
-
-__all__ = [
-    "CoherenceReport",
-    "DEFAULT_ORTHO_TOL",
-    "coherence",
-    "gen_random_ortho",
-    "gen_trig",
-    "gen_walsh",
-]

@@ -166,8 +166,8 @@ def compressed_gram(a: OrthoRowMatrix, i: SubsetIndex) -> np.ndarray:
 
 def scaled_gram_extremes(a: OrthoRowMatrix, i: SubsetIndex) -> SymEigExtremes:
     """Eigen extremes of (M/|I|) * A_I A_I^T."""
-    scale = a.m / len(i)
-    return sym_eig_extremes(scale * compressed_gram(a, i))
+    g = compressed_gram(a, i)
+    return sym_eig_extremes((a.m / len(i)) * g)
 
 
 def deviation(a: OrthoRowMatrix, i: SubsetIndex) -> float:

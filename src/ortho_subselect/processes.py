@@ -6,6 +6,10 @@ projection norms, the fourth-moment quasimetric with its factor-4 triangle
 inequality and ball-convexity checks, and greedy packing counts.
 
 Estimator sums are exactly rounded (``math.fsum``), independent of order.
+Draws keep their documented order; only the arithmetic on them is batched.
+``gaussian_sup_estimates`` and ``check_quasi_triangle`` reduce in slices of
+at most ``_BLOCK_ENTRIES`` entries per array (or one row, if longer), so
+their temporaries stay bounded whatever the trial count.
 """
 
 from __future__ import annotations
@@ -15,14 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadSignVector,
-    BadWeights,
-    LengthMismatch,
-    NotOrthonormal,
-    SamplingFailed,
-)
-from .linalg import DEFAULT_ORTHO_TOL, OrthoRowMatrix, as_matrix, sym_eig_extremes
+from .errors import BadSignVector, BadWeights, LengthMismatch, SamplingFailed
+from .linalg import DEFAULT_ORTHO_TOL, OrthoRowMatrix, sym_eig_extremes
 from .rng import child_seed, make_rng, rademacher
 
 # Entries per batch of Gaussian draws: keeps a batch's arrays at 32 KiB
@@ -38,16 +36,9 @@ class SubspaceBasis:
     ortho_tol: float = DEFAULT_ORTHO_TOL
 
     def __post_init__(self):
-        mat = as_matrix(self.u)
-        m, n = mat.shape
-        if n > m:
-            raise NotOrthonormal(f"need M >= n, got {m}x{n}")
-        err = float(np.max(np.abs(mat.T @ mat - np.eye(n))))
-        if err > self.ortho_tol:
-            raise NotOrthonormal(
-                f"columns not orthonormal: max |U^T U - I| = {err:.3e}"
-            )
-        object.__setattr__(self, "u", mat)
+        # U^T has orthonormal rows; OrthoRowMatrix keeps the caller's array
+        rows = OrthoRowMatrix(np.asarray(self.u, dtype=np.float64).T, self.ortho_tol)
+        object.__setattr__(self, "u", rows.mat.T)
 
     @classmethod
     def from_ortho_rows(cls, a: OrthoRowMatrix) -> "SubspaceBasis":
@@ -78,23 +69,6 @@ class ProcessEstimate:
     q: float
     bound_ratio: float  # mean / (q * sqrt(ln M))
     seed: int
-
-
-@dataclass(frozen=True)
-class QuasimetricSample:
-    """One evaluated quasimetric inequality instance: lhs vs rhs."""
-
-    lhs: float
-    rhs: float
-    ratio: float
-
-    @classmethod
-    def of(cls, lhs: float, rhs: float) -> "QuasimetricSample":
-        if rhs > 0.0:
-            ratio = lhs / rhs
-        else:
-            ratio = 0.0 if lhs == 0.0 else math.inf
-        return cls(lhs, rhs, ratio)
 
 
 def proj_l1_l2_norm(w: SubspaceBasis) -> float:
@@ -224,41 +198,32 @@ def check_sandwich(samples: int, dim: int, seed: int) -> float:
 
 
 def check_quasi_triangle(samples: int, dim: int, seed: int) -> float:
-    """Worst observed d(w, v) / (d(w, u) + d(u, v)) over sampled triples.
+    """Worst observed d(w, v) / (d(w, u) + d(u, v)) over sampled triples
+    with a positive denominator (0 if there are none).
 
     Samples Gaussian triples plus a 1% batch of adversarial near-collinear
     triples (w, w + delta, w + 2 delta) with large coordinates and tiny
     increments. The generalized triangle inequality bounds the ratio by 4.
+    All triples are drawn up front, in that order; the Gaussian ones are
+    reduced in row slices, so the temporaries stay small.
     """
-    return worst_triangle_sample(samples, dim, seed).ratio
-
-
-def worst_triangle_sample(samples: int, dim: int, seed: int) -> QuasimetricSample:
-    """Like check_quasi_triangle, but returns the worst (lhs, rhs) pair."""
     if samples < 1 or dim < 1:
         raise ValueError("need samples >= 1 and dim >= 1")
     rng = make_rng(seed)
-    worst = QuasimetricSample.of(0.0, 0.0)
-    for w, u, v in _triangle_batches(rng, samples, dim):
-        num = _d_batch(w, v)
-        den = _d_batch(w, u) + _d_batch(u, v)
-        live = den > 0.0
-        if live.any():
-            at = int(np.argmax(num[live] / den[live]))
-            cand = QuasimetricSample.of(
-                float(num[live][at]), float(den[live][at])
-            )
-            if cand.ratio > worst.ratio:
-                worst = cand
-    return worst
-
-
-def _triangle_batches(rng, samples, dim):
-    yield rng.standard_normal((3, samples, dim))
+    gauss = rng.standard_normal((3, samples, dim))
     n_adv = max(1, samples // 100)
     base = 10.0 * rng.standard_normal((n_adv, dim))
     delta = 1e-6 * rng.standard_normal((n_adv, dim))
-    yield base, base + delta, base + 2.0 * delta
+    rows = max(1, _BLOCK_ENTRIES // dim)
+    batches = [gauss[:, start : start + rows] for start in range(0, samples, rows)]
+    batches.append((base, base + delta, base + 2.0 * delta))
+    worst = 0.0
+    for w, u, v in batches:
+        num = _d_batch(w, v)
+        den = _d_batch(w, u) + _d_batch(u, v)
+        live = den > 0.0
+        worst = max(worst, float(np.max(num[live] / den[live], initial=0.0)))
+    return worst
 
 
 def _ball_points(centers, deltas, fracs, rho: float, max_shrink: int = 80):

@@ -123,6 +123,31 @@ def test_certify_inline_subset_failure_path(tmp_path):
     assert "error" in res.stderr
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "-1", "inf", "-inf"])
+def test_certify_rejects_non_finite_or_negative_epsilon(tmp_path, epsilon):
+    mat = tmp_path / "w.txt"
+    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
+            "--output", str(mat))
+    # the subset does not parse, so only a check made before it is read passes
+    res = run_cli("certify", "--input", str(mat), "--subset", "x",
+                  f"--epsilon={epsilon}")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: epsilon must be finite and >= 0")
+    assert "Traceback" not in res.stderr
+
+
+def test_certify_accepts_zero_epsilon(tmp_path):
+    mat = tmp_path / "w.txt"
+    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
+            "--output", str(mat))
+    full = ",".join(str(j) for j in range(1, 17))
+    res = run_cli("certify", "--input", str(mat), "--subset", full,
+                  "--epsilon", "0")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["epsilon_achieved"] <= 1e-12
+
+
 @pytest.mark.parametrize(
     "subset", [[1.5, 2.9, 3, 4, 5, 6, 7, 8], [True, 2, 3, 4, 5, 6, 7, 8]]
 )

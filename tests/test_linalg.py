@@ -17,11 +17,13 @@ from ortho_subselect import (
     deviation,
     orthonormalize_rows,
     read_matrix_text,
+    scaled_gram_extremes,
     sym_eig_extremes,
     write_matrix_text,
 )
 from ortho_subselect import generators
 from ortho_subselect.generators import gen_trig
+from ortho_subselect.selection import certify
 
 
 def _mgs_rows(m, tol: float = 1e-10) -> np.ndarray:
@@ -211,8 +213,10 @@ def test_gram_additive_over_disjoint_subsets():
 
 def test_gram_errors():
     a = _flat_row(0.5)
-    with pytest.raises(EmptySubset):
-        compressed_gram(a, SubsetIndex((), 2))
+    # every consumer of a subset Gram rejects the empty subset the same way
+    for fn in (compressed_gram, scaled_gram_extremes, deviation, certify):
+        with pytest.raises(EmptySubset, match="at least one column"):
+            fn(a, SubsetIndex((), 2))
     with pytest.raises(IndexOutOfRange):
         SubsetIndex((0, 1), 2)
     with pytest.raises(IndexOutOfRange):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,15 +305,57 @@ def test_triangle_ratio_bounded():
         assert check_quasi_triangle(5_000, dim, seed=6) <= 4.0
 
 
-def test_worst_triangle_sample_record():
-    from ortho_subselect import QuasimetricSample, worst_triangle_sample
+def _d_rows(x, y):
+    return np.sqrt(np.sum((x - y) ** 2 * (x * x + y * y), axis=-1))
 
-    sample = worst_triangle_sample(2_000, 3, seed=6)
-    assert sample.ratio == sample.lhs / sample.rhs
-    assert sample.ratio == check_quasi_triangle(2_000, 3, seed=6)
-    assert QuasimetricSample.of(0.0, 0.0).ratio == 0.0
-    assert QuasimetricSample.of(1.0, 0.0).ratio == math.inf
-    assert QuasimetricSample.of(3.0, 2.0).ratio == 1.5
+
+def _triangle_batches(rng, samples, dim):
+    yield rng.standard_normal((3, samples, dim))
+    n_adv = max(1, samples // 100)
+    base = 10.0 * rng.standard_normal((n_adv, dim))
+    delta = 1e-6 * rng.standard_normal((n_adv, dim))
+    yield base, base + delta, base + 2.0 * delta
+
+
+def _worst_triangle_loop(samples, dim, seed):
+    """Reference: each batch reduced whole, keeping the worst lhs / rhs."""
+    rng = make_rng(seed)
+    worst = 0.0
+    for w, u, v in _triangle_batches(rng, samples, dim):
+        num = _d_rows(w, v)
+        den = _d_rows(w, u) + _d_rows(u, v)
+        live = den > 0.0
+        if live.any():
+            at = int(np.argmax(num[live] / den[live]))
+            ratio = float(num[live][at]) / float(den[live][at])
+            if ratio > worst:
+                worst = ratio
+    return worst
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 32, 33])
+def test_quasi_triangle_matches_whole_array_loop(dim):
+    # 128 and 2048 rows are the slice heights at dim 32 and dim 2; 100 is
+    # where the adversarial batch grows past one triple
+    for samples in (1, 99, 100, 127, 128, 129, 2048, 2049, 5000):
+        for seed in (0, 11):
+            want = _worst_triangle_loop(samples, dim, seed)
+            assert check_quasi_triangle(samples, dim, seed) == want
+    for samples, d in ((0, dim), (1, 0), (-1, dim)):
+        with pytest.raises(ValueError, match="samples >= 1 and dim >= 1"):
+            check_quasi_triangle(samples, d, seed=0)
+
+
+def test_quasi_triangle_memory_stays_near_the_drawn_triples():
+    samples, dim = 20_000, 32
+    triples = 3 * samples * dim * 8
+    tracemalloc.start()
+    try:
+        check_quasi_triangle(samples, dim, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * triples
 
 
 def test_ball_convexity_bounded():
