@@ -193,6 +193,8 @@ def write_matrix_text(path, m) -> None:
 def read_matrix_text(path) -> np.ndarray:
     """Parse the matrix text format; raises MatrixFormatError on any defect."""
     text = Path(path).read_text(encoding="ascii")
+    if "_" in text:  # int() and float() would read 2_0 as 20
+        raise MatrixFormatError(f"{path}: '_' is not allowed in numbers")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MatrixFormatError(f"{path}: empty matrix file")

@@ -8,8 +8,10 @@ inequality and ball-convexity checks, and greedy packing counts.
 Estimator sums are exactly rounded (``math.fsum``), independent of order.
 Draws keep their documented order; only the arithmetic on them is batched.
 ``gaussian_sup_estimates`` and ``check_quasi_triangle`` reduce in slices of
-at most ``_BLOCK_ENTRIES`` entries per array (or one row, if longer), so
-their temporaries stay bounded whatever the trial count.
+at most ``_BLOCK_ENTRIES`` entries per array (or one row, if longer), and
+the per-trial generators come from ``rng.trial_rngs``, which seeds at most
+``rng._SEED_CHUNK`` trials at a time, so temporaries stay bounded whatever
+the trial count.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import BadSignVector, BadWeights, LengthMismatch, SamplingFailed
 from .linalg import DEFAULT_ORTHO_TOL, OrthoRowMatrix, sym_eig_extremes
-from .rng import child_seed, make_rng, rademacher
+from .rng import make_rng, rademacher, trial_rngs
 
 # Entries per batch of Gaussian draws: keeps a batch's arrays at 32 KiB
 # each, whatever the trial count.
@@ -91,9 +93,14 @@ def sup_process_sample(w: SubspaceBasis, signs) -> float:
         raise BadSignVector(f"need {w.m} signs, got shape {s.shape}")
     if not np.all(np.abs(s) == 1.0):
         raise BadSignVector("signs must be exactly +-1")
-    core = (w.u * s[:, None]).T @ w.u
-    ext = sym_eig_extremes(0.5 * (core + core.T))
+    ext = sym_eig_extremes(_sign_gram(w, s))
     return max(abs(ext.lambda_min), abs(ext.lambda_max))
+
+
+def _sign_gram(w: SubspaceBasis, s: np.ndarray) -> np.ndarray:
+    """U^T diag(s) U, symmetrized exactly."""
+    core = (w.u * s[:, None]).T @ w.u
+    return 0.5 * (core + core.T)
 
 
 def estimate_process(w: SubspaceBasis, trials: int, seed: int) -> ProcessEstimate:
@@ -106,11 +113,13 @@ def estimate_process(w: SubspaceBasis, trials: int, seed: int) -> ProcessEstimat
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
 
-    def one_trial(trial: int) -> float:
-        rng = make_rng(child_seed(seed, trial))
-        return sup_process_sample(w, rademacher(rng, w.m))
+    def one_trial(rng: np.random.Generator) -> float:
+        # sup_process_sample without its checks: rademacher signs are +-1
+        # and the sign Gram of a validated basis is finite and symmetric
+        ev = np.linalg.eigvalsh(_sign_gram(w, rademacher(rng, w.m)))
+        return max(abs(float(ev[0])), abs(float(ev[-1])))
 
-    values = np.asarray([one_trial(k) for k in range(trials)])
+    values = np.asarray([one_trial(rng) for rng in trial_rngs(seed, 0, trials)])
     mean = math.fsum(values) / trials
     var = math.fsum((values - mean) ** 2) / (trials - 1)
     std_error = math.sqrt(var / trials)
@@ -143,10 +152,12 @@ def gaussian_sup_estimates(
     wvals = np.empty(trials) if wt is not None else None
     block = max(1, _BLOCK_ENTRIES // w.m)
     g = np.empty((min(block, trials), w.m))
+    rngs = trial_rngs(seed, 0, trials)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
-        for row, trial in enumerate(range(start, stop)):
-            make_rng(child_seed(seed, trial)).standard_normal(out=g[row])
+        # zip takes the rows first, so it draws one generator per row
+        for row, rng in zip(g[: stop - start], rngs):
+            rng.standard_normal(out=row)
         # einsum without ``optimize`` stays off threaded BLAS, whose idle
         # workers spin for longer than these small contractions take
         proj = np.einsum("tn,mn->tm", np.einsum("tm,mn->tn", g[: stop - start], w.u), w.u)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidEpsilon, RetriesExhausted, SizeOutOfRange
 from .generators import coherence
 from .linalg import OrthoRowMatrix, SubsetIndex, deviation, scaled_gram_extremes
-from .rng import child_seed, make_rng
+from .rng import child_seed, make_rng, trial_rngs
 
 DEFAULT_MAX_RETRIES = 64
 # Floor coefficient for the analytic stop ceil(kappa * t^2/eps^2 * n * ln n),
@@ -142,8 +142,8 @@ def select_subset(
         raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
-    report = coherence(a)
-    floor = size_floor(a.n, report.t, epsilon, kappa)
+    t = coherence(a).t
+    floor = size_floor(a.n, t, epsilon, kappa)
     current = SubsetIndex.full(a.m)
     steps: list[HalvingStep] = []
     while len(current) > min_size and len(current) / 2.0 >= floor:
@@ -154,13 +154,18 @@ def select_subset(
         except RetriesExhausted:
             break
         steps.append(step)
-    cert = certify(a, current)
+    cert = _certificate(a, current, t)
     trace = SelectionTrace(tuple(steps), a.m, current, epsilon)
     return cert, trace
 
 
 def certify(a: OrthoRowMatrix, i: SubsetIndex) -> IsometryCertificate:
     """Exact certificate for ``i``: eigen extremes of (M/|I|) A_I A_I^T."""
+    return _certificate(a, i, coherence(a).t)
+
+
+def _certificate(a: OrthoRowMatrix, i: SubsetIndex, t: float) -> IsometryCertificate:
+    """certify(a, i) for a caller that already holds the coherence t of ``a``."""
     ext = scaled_gram_extremes(a, i)
     eps = max(ext.lambda_max - 1.0, 1.0 - ext.lambda_min)
     return IsometryCertificate(
@@ -170,7 +175,7 @@ def certify(a: OrthoRowMatrix, i: SubsetIndex) -> IsometryCertificate:
         lambda_min=ext.lambda_min,
         lambda_max=ext.lambda_max,
         epsilon_achieved=eps,
-        coherence_t=coherence(a).t,
+        coherence_t=t,
         scale=a.m / len(i),
     )
 
@@ -188,12 +193,13 @@ def uniform_baseline(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    def one_trial(trial: int) -> IsometryCertificate:
-        rng = make_rng(child_seed(seed, trial))
-        cols = np.sort(rng.choice(a.m, size=size, replace=False)) + 1
-        return certify(a, SubsetIndex(cols, a.m))
+    t = coherence(a).t
 
-    return [one_trial(k) for k in range(trials)]
+    def one_trial(rng: np.random.Generator) -> IsometryCertificate:
+        cols = np.sort(rng.choice(a.m, size=size, replace=False)) + 1
+        return _certificate(a, SubsetIndex(cols, a.m), t)
+
+    return [one_trial(rng) for rng in trial_rngs(seed, 0, trials)]
 
 
 def certificate_to_dict(cert: IsometryCertificate) -> dict:

@@ -199,6 +199,18 @@ def test_certify_rejects_malformed_matrix(tmp_path):
     assert res.returncode == 1
 
 
+def test_certify_rejects_underscore_digit_groups(tmp_path):
+    # float() reads 0.707_1067811865476 as 0.7071067811865476, which would
+    # make this a valid 1x2 orthonormal row
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 2\n0.7071067811865476 0.707_1067811865476\n")
+    res = run_cli("certify", "--input", str(bad), "--subset", "1,2",
+                  "--epsilon", "0.5")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "'_' is not allowed" in res.stderr
+
+
 def test_select_rejects_non_orthonormal_matrix(tmp_path):
     skewed = tmp_path / "skewed.txt"
     skewed.write_text("2 3\n1 0 0\n1 1 0\n")

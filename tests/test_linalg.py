@@ -294,6 +294,10 @@ def test_matrix_text_round_trip(tmp_path):
         "2 2\n1 2\n3 4\n5 6\n",
         "2 2\n1 2\n3 4 5\n",
         "2 2\n1 2\n3 nan\n",
+        # float() and int() read Python's digit-group underscores
+        "1 2\n0.7071067811865476 0.707_1067811865476\n",
+        "1 2_0\n" + "0 " * 19 + "1\n",
+        "1_0 2\n" + "1 0\n" * 10,
     ],
 )
 def test_matrix_text_rejects_malformed(tmp_path, text):
@@ -350,7 +354,8 @@ def test_read_matrix_text_parses_tokens_like_float(tmp_path, token):
         value = float(token)
     except ValueError:
         value = None
-    if value is None or not math.isfinite(value):
+    # the format is float()'s syntax without Python's digit-group underscores
+    if "_" in token or value is None or not math.isfinite(value):
         with pytest.raises(MatrixFormatError):
             read_matrix_text(path)
     else:
@@ -369,6 +374,9 @@ def test_matrix_text_errors_name_the_defect(tmp_path):
         read_matrix_text(path)
     path.write_text("2 2\n1 2\n3 nan\n")
     with pytest.raises(MatrixFormatError, match="entries must be finite"):
+        read_matrix_text(path)
+    path.write_text("1 2_0\n" + "0 " * 19 + "1\n")
+    with pytest.raises(MatrixFormatError, match="'_' is not allowed"):
         read_matrix_text(path)
 
 

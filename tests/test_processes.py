@@ -12,6 +12,7 @@ from ortho_subselect import (
     BadWeights,
     LengthMismatch,
     NotOrthonormal,
+    ProcessEstimate,
     SubspaceBasis,
     check_ball_convexity,
     check_quasi_triangle,
@@ -29,6 +30,7 @@ from ortho_subselect import (
     sup_process_sample,
 )
 from ortho_subselect.processes import check_sandwich
+from ortho_subselect.rng import _SEED_CHUNK
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 HALF_NORMAL_STD = math.sqrt(1.0 - 2.0 / math.pi)
@@ -52,6 +54,23 @@ def _gaussian_sup_loop(w, weights, trials, seed):
             wvals[trial] = math.sqrt(float(np.sum(proj * proj * wt * wt)))
     mean_weighted = None if wt is None else math.fsum(wvals) / trials
     return math.fsum(inf_vals) / trials, mean_weighted
+
+
+def _estimate_process_loop(w, trials, seed):
+    """Reference: one generator and one checked supremum per trial."""
+    values = np.asarray([
+        sup_process_sample(w, rademacher(make_rng(child_seed(seed, k)), w.m))
+        for k in range(trials)
+    ])
+    mean = math.fsum(values) / trials
+    var = math.fsum((values - mean) ** 2) / (trials - 1)
+    q = proj_l1_l2_norm(w)
+    ratio = mean / (q * math.sqrt(math.log(w.m)))
+    return ProcessEstimate(mean, math.sqrt(var / trials), trials, q, ratio, seed)
+
+
+# straddle the 64-row Gaussian blocks at M = 64 and the seeding chunks
+TRIAL_COUNTS = (1, 2, 63, 64, 65, _SEED_CHUNK - 1, _SEED_CHUNK, _SEED_CHUNK + 1)
 
 
 def _ball_point(rng, center, rho, max_shrink=80):
@@ -229,14 +248,20 @@ def test_gaussian_sup_weighted_variants():
 
 
 def test_gaussian_sup_matches_per_trial_loop_on_coordinate_spans():
-    # trial counts straddle the 64-row batches used at M = 64
     rng = np.random.default_rng(17)
     for m, dims in ((64, 1), (64, 5), (8, 8)):
         w = SubspaceBasis.coordinate_span(m, dims)
         for weights in (None, rng.standard_normal(m), [1.0] + [0.0] * (m - 1)):
-            for trials, seed in ((1, 0), (64, 1), (65, 2), (300, 3)):
+            for trials, seed in zip(TRIAL_COUNTS + (300,), (0, 1, 2, 3, 4, 5, 6, 2**40, 7)):
                 got = gaussian_sup_estimates(w, weights, trials, seed)
                 assert got == _gaussian_sup_loop(w, weights, trials, seed)
+
+
+@pytest.mark.parametrize("trials", [t for t in TRIAL_COUNTS if t >= 2])
+def test_estimate_process_matches_per_trial_loop(trials):
+    for w, seed in ((SubspaceBasis.from_ortho_rows(gen_walsh(4, 16)), 3),
+                    (SubspaceBasis.from_ortho_rows(gen_random_ortho(3, 12, seed=4)), 2**40)):
+        assert estimate_process(w, trials, seed) == _estimate_process_loop(w, trials, seed)
 
 
 def test_gaussian_sup_matches_per_trial_loop_on_dense_bases():

@@ -11,13 +11,18 @@ from ortho_subselect import (
     SubsetIndex,
     cardinality_window,
     certify,
+    child_seed,
+    coherence,
     deviation,
     gen_random_ortho,
     gen_walsh,
     halve_step,
+    make_rng,
     select_subset,
     uniform_baseline,
 )
+from ortho_subselect import selection
+from ortho_subselect.rng import _SEED_CHUNK
 from ortho_subselect.selection import certificate_to_dict, trace_to_dict
 
 
@@ -171,6 +176,33 @@ def test_uniform_baseline_validation_and_determinism():
     first = uniform_baseline(a, 6, seed=9, trials=4)
     second = uniform_baseline(a, 6, seed=9, trials=4)
     assert first == second
+
+
+def test_select_computes_coherence_once(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return coherence(a)
+
+    monkeypatch.setattr(selection, "coherence", counted)
+    a = gen_random_ortho(4, 64, seed=6)
+    cert, _ = select_subset(a, 0.5, seed=1)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert cert == certify(a, cert.subset)  # coherence_t included
+
+
+@pytest.mark.parametrize("trials", [1, _SEED_CHUNK + 1])
+def test_uniform_baseline_matches_per_trial_loop(trials):
+    # reference: one generator and one full certify per trial
+    a = gen_random_ortho(3, 12, seed=5)
+    want = []
+    for k in range(trials):
+        rng = make_rng(child_seed(8, k))
+        cols = np.sort(rng.choice(a.m, size=5, replace=False)) + 1
+        want.append(certify(a, SubsetIndex(cols, a.m)))
+    assert uniform_baseline(a, 5, seed=8, trials=trials) == want
 
 
 def test_uniform_baseline_descriptive_run():
