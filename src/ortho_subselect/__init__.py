@@ -32,7 +32,6 @@ from .linalg import (
     deviation,
     orthonormalize_rows,
     read_matrix_text,
-    scaled_gram_extremes,
     sym_eig_extremes,
     write_matrix_text,
 )

@@ -11,6 +11,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import statistics
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .errors import IndexOutOfRange, InvalidEpsilon, OrthoSubselectError
 from .generators import coherence, gen_random_ortho, gen_trig, gen_walsh
-from .jsonio import dumps, format_float, loads
+from .jsonio import dumps, format_float
 from .linalg import OrthoRowMatrix, SubsetIndex, read_matrix_text, write_matrix_text
 from .processes import (
     ProcessEstimate,
@@ -159,7 +160,7 @@ def parse_subset_spec(spec: str, m: int) -> SubsetIndex:
     """Subset from a certificate/trace JSON path or an inline index list."""
     path = Path(spec)
     if path.exists():
-        data = loads(path.read_text(encoding="ascii"))
+        data = json.loads(path.read_text(encoding="ascii"))
         if isinstance(data, dict) and "subset" in data:
             arr = data["subset"]
         elif isinstance(data, dict) and "final_subset" in data:
@@ -173,8 +174,8 @@ def parse_subset_spec(spec: str, m: int) -> SubsetIndex:
             raise IndexOutOfRange(f"{spec}: subset must be a list of integers")
     else:
         try:
-            arr = [int(tok) for tok in spec.replace(",", " ").split()]
-        except ValueError as exc:
+            arr = _int_list(spec)
+        except argparse.ArgumentTypeError as exc:
             raise OrthoSubselectError(f"cannot parse subset {spec!r}") from exc
         if not arr:
             raise OrthoSubselectError("empty subset specification")
@@ -384,6 +385,8 @@ def _positive_int(text: str) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
+        if "_" in text:  # int() reads the digit group 1_0 as 10
+            raise ValueError(text)
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from exc

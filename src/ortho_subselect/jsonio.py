@@ -37,7 +37,3 @@ def dumps(obj) -> str:
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def loads(text: str):
-    return json.loads(text)

@@ -5,6 +5,10 @@ extreme eigenvalues of small symmetric matrices via LAPACK, the isometry
 deviation functional, and the on-disk matrix text format. Matrices are
 float64 numpy arrays in row-major order; every function here is pure and
 never mutates its arguments.
+
+Public functions check their inputs; orthonormality and rank use the fixed
+tolerance ``ORTHO_TOL``. ``_gram_extremes``, the one home of the deviation
+formula, takes 0-based column indices and checks nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     RankDeficient,
 )
 
-DEFAULT_ORTHO_TOL = 1e-10
+ORTHO_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
 
@@ -47,7 +51,6 @@ class OrthoRowMatrix:
     """
 
     mat: np.ndarray
-    ortho_tol: float = DEFAULT_ORTHO_TOL
 
     def __post_init__(self):
         a = as_matrix(self.mat)
@@ -55,10 +58,10 @@ class OrthoRowMatrix:
         if n > m:
             raise NotOrthonormal(f"need n <= M, got {n}x{m}")
         err = float(np.max(np.abs(a @ a.T - np.eye(n))))
-        if err > self.ortho_tol:
+        if err > ORTHO_TOL:
             raise NotOrthonormal(
                 f"rows not orthonormal: max |A A^T - I| = {err:.3e} exceeds "
-                f"{self.ortho_tol:.3e}"
+                f"{ORTHO_TOL:.3e}"
             )
         object.__setattr__(self, "mat", a)
 
@@ -113,12 +116,12 @@ class SymEigExtremes:
     lambda_max: float
 
 
-def orthonormalize_rows(m, tol: float = DEFAULT_ORTHO_TOL) -> OrthoRowMatrix:
+def orthonormalize_rows(m) -> OrthoRowMatrix:
     """Orthonormalize the rows of ``m``, preserving their span.
 
     LAPACK QR of the transpose, Q's columns signed like diag(R): the rows
     Gram-Schmidt gives, with |R_ii| the residual norm of row i. Raises
-    RankDeficient at the first row whose residual norm is ``tol`` or below.
+    RankDeficient at the first row whose residual norm is ``ORTHO_TOL`` or below.
     """
     a = as_matrix(m)
     n, cols = a.shape
@@ -126,13 +129,13 @@ def orthonormalize_rows(m, tol: float = DEFAULT_ORTHO_TOL) -> OrthoRowMatrix:
         raise RankDeficient(f"more rows than columns ({n}x{cols})")
     q, r = np.linalg.qr(a.T)
     rdiag = np.diagonal(r)
-    dependent = np.flatnonzero(np.abs(rdiag) <= tol)
+    dependent = np.flatnonzero(np.abs(rdiag) <= ORTHO_TOL)
     if dependent.size:
         i = int(dependent[0])
         raise RankDeficient(
             f"row {i + 1} is linearly dependent (residual norm {abs(rdiag[i]):.3e})"
         )
-    return OrthoRowMatrix((q * np.sign(rdiag)).T, tol)
+    return OrthoRowMatrix((q * np.sign(rdiag)).T)
 
 
 def sym_eig_extremes(s) -> SymEigExtremes:
@@ -160,14 +163,16 @@ def compressed_gram(a: OrthoRowMatrix, i: SubsetIndex) -> np.ndarray:
     """Gram matrix of the selected columns: G_pq = sum_{j in I} a_pj a_qj."""
     _check_subset(a, i)
     cols = a.mat[:, i.zero_based()]
-    g = cols @ cols.T
-    return 0.5 * (g + g.T)
+    return cols @ cols.T  # numpy's syrk path: exactly symmetric
 
 
-def scaled_gram_extremes(a: OrthoRowMatrix, i: SubsetIndex) -> SymEigExtremes:
-    """Eigen extremes of (M/|I|) * A_I A_I^T."""
-    g = compressed_gram(a, i)
-    return sym_eig_extremes((a.m / len(i)) * g)
+def _gram_extremes(a: OrthoRowMatrix, cols: np.ndarray) -> tuple[float, float, float]:
+    """(lambda_min, lambda_max, deviation) of (M/|I|) * A_I A_I^T for the
+    nonempty 0-based column indices ``cols``, unchecked."""
+    x = a.mat[:, cols]
+    w = np.linalg.eigvalsh((a.m / len(cols)) * (x @ x.T))
+    lo, hi = float(w[0]), float(w[-1])
+    return lo, hi, max(hi - 1.0, 1.0 - lo)
 
 
 def deviation(a: OrthoRowMatrix, i: SubsetIndex) -> float:
@@ -177,8 +182,8 @@ def deviation(a: OrthoRowMatrix, i: SubsetIndex) -> float:
     that sqrt(M/|I|) times the restriction to I of A^T x distorts every
     norm by a factor inside [1-eps, 1+eps].
     """
-    ext = scaled_gram_extremes(a, i)
-    return max(ext.lambda_max - 1.0, 1.0 - ext.lambda_min)
+    _check_subset(a, i)
+    return _gram_extremes(a, i.zero_based())[2]
 
 
 def write_matrix_text(path, m) -> None:

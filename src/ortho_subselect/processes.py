@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSignVector, BadWeights, LengthMismatch, SamplingFailed
-from .linalg import DEFAULT_ORTHO_TOL, OrthoRowMatrix, sym_eig_extremes
+from .linalg import OrthoRowMatrix
 from .rng import make_rng, rademacher, trial_rngs
 
 # Entries per batch of Gaussian draws: keeps a batch's arrays at 32 KiB
@@ -35,17 +35,16 @@ class SubspaceBasis:
     """M x n matrix with orthonormal columns spanning the subspace W."""
 
     u: np.ndarray
-    ortho_tol: float = DEFAULT_ORTHO_TOL
 
     def __post_init__(self):
         # U^T has orthonormal rows; OrthoRowMatrix keeps the caller's array
-        rows = OrthoRowMatrix(np.asarray(self.u, dtype=np.float64).T, self.ortho_tol)
+        rows = OrthoRowMatrix(np.asarray(self.u, dtype=np.float64).T)
         object.__setattr__(self, "u", rows.mat.T)
 
     @classmethod
     def from_ortho_rows(cls, a: OrthoRowMatrix) -> "SubspaceBasis":
         """Basis of the row space of ``a`` (columns of A^T)."""
-        return cls(a.mat.T.copy(), a.ortho_tol)
+        return cls(a.mat.T.copy())
 
     @classmethod
     def coordinate_span(cls, m: int, dims: int = 1) -> "SubspaceBasis":
@@ -93,14 +92,14 @@ def sup_process_sample(w: SubspaceBasis, signs) -> float:
         raise BadSignVector(f"need {w.m} signs, got shape {s.shape}")
     if not np.all(np.abs(s) == 1.0):
         raise BadSignVector("signs must be exactly +-1")
-    ext = sym_eig_extremes(_sign_gram(w, s))
-    return max(abs(ext.lambda_min), abs(ext.lambda_max))
+    return _sign_sup(w, s)
 
 
-def _sign_gram(w: SubspaceBasis, s: np.ndarray) -> np.ndarray:
-    """U^T diag(s) U, symmetrized exactly."""
+def _sign_sup(w: SubspaceBasis, s: np.ndarray) -> float:
+    """sup_process_sample without its checks on ``s``."""
     core = (w.u * s[:, None]).T @ w.u
-    return 0.5 * (core + core.T)
+    ev = np.linalg.eigvalsh(0.5 * (core + core.T))  # symmetrized exactly
+    return max(abs(float(ev[0])), abs(float(ev[-1])))
 
 
 def estimate_process(w: SubspaceBasis, trials: int, seed: int) -> ProcessEstimate:
@@ -113,13 +112,9 @@ def estimate_process(w: SubspaceBasis, trials: int, seed: int) -> ProcessEstimat
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
 
-    def one_trial(rng: np.random.Generator) -> float:
-        # sup_process_sample without its checks: rademacher signs are +-1
-        # and the sign Gram of a validated basis is finite and symmetric
-        ev = np.linalg.eigvalsh(_sign_gram(w, rademacher(rng, w.m)))
-        return max(abs(float(ev[0])), abs(float(ev[-1])))
-
-    values = np.asarray([one_trial(rng) for rng in trial_rngs(seed, 0, trials)])
+    # rademacher signs are +-1, so the unchecked supremum applies
+    values = np.asarray([_sign_sup(w, rademacher(rng, w.m))
+                         for rng in trial_rngs(seed, 0, trials)])
     mean = math.fsum(values) / trials
     var = math.fsum((values - mean) ** 2) / (trials - 1)
     std_error = math.sqrt(var / trials)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidEpsilon, RetriesExhausted, SizeOutOfRange
 from .generators import coherence
-from .linalg import OrthoRowMatrix, SubsetIndex, deviation, scaled_gram_extremes
+from .linalg import OrthoRowMatrix, SubsetIndex, _check_subset, _gram_extremes
 from .rng import child_seed, make_rng, trial_rngs
 
 DEFAULT_MAX_RETRIES = 64
@@ -93,18 +93,19 @@ def halve_step(
         raise SizeOutOfRange(f"cannot halve a subset of size {p}")
     if epsilon_budget < 0.0:
         raise InvalidEpsilon(f"budget must be >= 0, got {epsilon_budget}")
+    _check_subset(a, parent)
     lo, hi = cardinality_window(p)
-    parent_arr = np.asarray(parent.indices, dtype=np.intp)
+    cols = parent.zero_based()
     for retry in range(max_retries):
         rng = make_rng(child_seed(seed, retry))
         keep = rng.integers(0, 2, size=p).astype(bool)  # sign +1 <=> keep
         size = int(keep.sum())
         if size < 1 or size < lo or size > hi:
             continue
-        child = SubsetIndex(parent_arr[keep], parent.m)
-        dev = deviation(a, child)
+        child = cols[keep]
+        dev = _gram_extremes(a, child)[2]
         if dev <= epsilon_budget:
-            return child, HalvingStep(p, size, dev, retry, seed)
+            return SubsetIndex(child + 1, a.m), HalvingStep(p, size, dev, retry, seed)
     raise RetriesExhausted(
         f"no accepted halving of a size-{p} subset in {max_retries} draws "
         f"(budget {epsilon_budget})"
@@ -161,19 +162,19 @@ def select_subset(
 
 def certify(a: OrthoRowMatrix, i: SubsetIndex) -> IsometryCertificate:
     """Exact certificate for ``i``: eigen extremes of (M/|I|) A_I A_I^T."""
+    _check_subset(a, i)
     return _certificate(a, i, coherence(a).t)
 
 
 def _certificate(a: OrthoRowMatrix, i: SubsetIndex, t: float) -> IsometryCertificate:
-    """certify(a, i) for a caller that already holds the coherence t of ``a``."""
-    ext = scaled_gram_extremes(a, i)
-    eps = max(ext.lambda_max - 1.0, 1.0 - ext.lambda_min)
+    """certify(a, i) without its check, given the coherence t of ``a``."""
+    lambda_min, lambda_max, eps = _gram_extremes(a, i.zero_based())
     return IsometryCertificate(
         n=a.n,
         m=a.m,
         subset=i,
-        lambda_min=ext.lambda_min,
-        lambda_max=ext.lambda_max,
+        lambda_min=lambda_min,
+        lambda_max=lambda_max,
         epsilon_achieved=eps,
         coherence_t=t,
         scale=a.m / len(i),

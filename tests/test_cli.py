@@ -211,6 +211,28 @@ def test_certify_rejects_underscore_digit_groups(tmp_path):
     assert "'_' is not allowed" in res.stderr
 
 
+@pytest.mark.parametrize("subset", ["1_0", "1,1_0"])
+def test_certify_rejects_underscore_digit_groups_in_inline_subset(tmp_path, subset):
+    # int() reads 1_0 as 10, a valid column of this 4x16 matrix
+    mat = tmp_path / "w.txt"
+    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
+            "--output", str(mat))
+    res = run_cli("certify", "--input", str(mat), "--subset", subset,
+                  "--epsilon", "5")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: cannot parse subset")
+
+
+def test_study_rejects_underscore_digit_groups_in_n_list(tmp_path):
+    res = run_cli("study", "--kind", "walsh", "--n-list", "8,1_6", "--m-factor",
+                  "16", "--epsilon", "0.5", "--trials", "1",
+                  "--output", str(tmp_path / "s.csv"))
+    assert res.returncode == 2
+    assert "not an integer list: '8,1_6'" in res.stderr
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_select_rejects_non_orthonormal_matrix(tmp_path):
     skewed = tmp_path / "skewed.txt"
     skewed.write_text("2 3\n1 0 0\n1 1 0\n")

@@ -17,12 +17,12 @@ from ortho_subselect import (
     deviation,
     orthonormalize_rows,
     read_matrix_text,
-    scaled_gram_extremes,
     sym_eig_extremes,
     write_matrix_text,
 )
 from ortho_subselect import generators
 from ortho_subselect.generators import gen_trig
+from ortho_subselect.linalg import ORTHO_TOL
 from ortho_subselect.selection import certify
 
 
@@ -191,7 +191,7 @@ def test_gram_full_set_is_identity():
     m = rng.standard_normal((3, 12))
     a = orthonormalize_rows(m)
     g = compressed_gram(a, SubsetIndex.full(12))
-    assert np.max(np.abs(g - np.eye(3))) <= a.ortho_tol
+    assert np.max(np.abs(g - np.eye(3))) <= ORTHO_TOL
 
 
 def test_gram_single_column():
@@ -214,7 +214,7 @@ def test_gram_additive_over_disjoint_subsets():
 def test_gram_errors():
     a = _flat_row(0.5)
     # every consumer of a subset Gram rejects the empty subset the same way
-    for fn in (compressed_gram, scaled_gram_extremes, deviation, certify):
+    for fn in (compressed_gram, deviation, certify):
         with pytest.raises(EmptySubset, match="at least one column"):
             fn(a, SubsetIndex((), 2))
     with pytest.raises(IndexOutOfRange):

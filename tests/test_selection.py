@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ortho_subselect import (
+    HalvingStep,
+    IndexOutOfRange,
     InvalidEpsilon,
     OrthoRowMatrix,
     RetriesExhausted,
@@ -13,12 +15,15 @@ from ortho_subselect import (
     certify,
     child_seed,
     coherence,
+    compressed_gram,
     deviation,
     gen_random_ortho,
+    gen_trig,
     gen_walsh,
     halve_step,
     make_rng,
     select_subset,
+    sym_eig_extremes,
     uniform_baseline,
 )
 from ortho_subselect import selection
@@ -264,3 +269,92 @@ def test_select_rejects_bad_retries_and_kappa(kwargs):
 def test_select_zero_kappa_is_legal():
     cert, _ = select_subset(gen_walsh(4, 16), 0.5, seed=0, kappa=0.0)
     assert cert.epsilon_achieved <= 0.5
+
+
+def _per_draw_halve_step(a, parent, epsilon_budget, seed, max_retries=64):
+    """Reference oracle: halve_step as it was before its draws became index
+    arrays, with a validated SubsetIndex and a public deviation per draw."""
+    p = len(parent)
+    lo, hi = cardinality_window(p)
+    parent_arr = np.asarray(parent.indices, dtype=np.intp)
+    for retry in range(max_retries):
+        rng = make_rng(child_seed(seed, retry))
+        keep = rng.integers(0, 2, size=p).astype(bool)
+        size = int(keep.sum())
+        if size < 1 or size < lo or size > hi:
+            continue
+        child = SubsetIndex(parent_arr[keep], parent.m)
+        dev = deviation(a, child)
+        if dev <= epsilon_budget:
+            return child, HalvingStep(p, size, dev, retry, seed)
+    raise RetriesExhausted(
+        f"no accepted halving of a size-{p} subset in {max_retries} draws "
+        f"(budget {epsilon_budget})"
+    )
+
+
+ORACLE_INSTANCES = {
+    "walsh": lambda: gen_walsh(16, 256),
+    "trig": lambda: gen_trig(16, 256),
+    "random": lambda: gen_random_ortho(16, 256, seed=3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_INSTANCES))
+@pytest.mark.parametrize("budget", [0.0, 0.3, 0.5, 0.9])
+def test_halve_step_matches_per_draw_oracle(kind, budget):
+    a = ORACLE_INSTANCES[kind]()
+    parents = [SubsetIndex.full(a.m), SubsetIndex(np.arange(1, a.m + 1, 3), a.m)]
+    for parent in parents:
+        for seed in range(6):
+            for max_retries in (4, 64):
+                try:
+                    want = _per_draw_halve_step(a, parent, budget, seed, max_retries)
+                except RetriesExhausted as exc:
+                    with pytest.raises(RetriesExhausted) as got:
+                        halve_step(a, parent, budget, seed, max_retries)
+                    assert str(got.value) == str(exc)
+                    continue
+                # dataclass ==, so deviation_after compares by float ==
+                assert halve_step(a, parent, budget, seed, max_retries) == want
+
+
+def test_halve_step_checks_parent_width_before_drawing(monkeypatch):
+    draws = []
+
+    def counted(seed):
+        draws.append(seed)
+        return make_rng(seed)
+
+    monkeypatch.setattr(selection, "make_rng", counted)
+    a = gen_walsh(4, 16)
+    with pytest.raises(IndexOutOfRange, match="over 1..32"):
+        halve_step(a, SubsetIndex.full(32), 0.5, seed=0)
+    assert draws == []
+
+
+@pytest.mark.parametrize("gen", [gen_walsh, gen_trig], ids=["walsh", "trig"])
+def test_study_grams_are_exactly_symmetric(monkeypatch, gen):
+    # every Gram a study evaluates: compressed_gram needs no 0.5 * (g + g.T),
+    # and deviation equals the checked eigensolver path bit for bit
+    seen = []
+    gram_extremes = selection._gram_extremes
+
+    def recording(a, cols):
+        seen.append((a, cols.copy()))
+        return gram_extremes(a, cols)
+
+    monkeypatch.setattr(selection, "_gram_extremes", recording)
+    for n in (8, 16, 32):
+        a = gen(n, 16 * n)
+        for trial in range(3):
+            select_subset(a, 0.5, child_seed(0, n, trial))
+    monkeypatch.undo()
+    assert len(seen) >= 50
+    for a, cols in seen:
+        subset = SubsetIndex(cols + 1, a.m)
+        g = compressed_gram(a, subset)
+        assert np.array_equal(g, g.T)
+        ext = sym_eig_extremes((a.m / len(subset)) * g)
+        dev = max(ext.lambda_max - 1.0, 1.0 - ext.lambda_min)
+        assert deviation(a, subset) == dev
