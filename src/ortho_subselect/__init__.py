@@ -12,11 +12,9 @@ from .errors import (
     EmptySubset,
     IndexOutOfRange,
     InvalidEpsilon,
-    LengthMismatch,
     MatrixFormatError,
     NotOrthonormal,
     NotPowerOfTwo,
-    NotSymmetric,
     OrthoSubselectError,
     RankDeficient,
     RetriesExhausted,
@@ -27,12 +25,9 @@ from .generators import CoherenceReport, coherence, gen_random_ortho, gen_trig, 
 from .linalg import (
     OrthoRowMatrix,
     SubsetIndex,
-    SymEigExtremes,
-    compressed_gram,
     deviation,
     orthonormalize_rows,
     read_matrix_text,
-    sym_eig_extremes,
     write_matrix_text,
 )
 from .processes import (
@@ -42,10 +37,7 @@ from .processes import (
     check_quasi_triangle,
     estimate_process,
     gaussian_sup_estimates,
-    packing_count,
     proj_l1_l2_norm,
-    quasimetric_d,
-    quasimetric_dtilde,
     sup_process_sample,
 )
 from .rng import child_seed, make_rng, rademacher
@@ -57,7 +49,6 @@ from .selection import (
     certify,
     halve_step,
     select_subset,
-    size_floor,
     uniform_baseline,
 )
 

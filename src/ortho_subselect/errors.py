@@ -14,10 +14,6 @@ class NotOrthonormal(OrthoSubselectError):
     """Matrix rows fail the orthonormality tolerance."""
 
 
-class NotSymmetric(OrthoSubselectError):
-    """Eigensolver input is not symmetric within tolerance."""
-
-
 class EmptySubset(OrthoSubselectError):
     """Operation requires at least one selected column."""
 
@@ -48,10 +44,6 @@ class BadSignVector(OrthoSubselectError):
 
 class BadWeights(OrthoSubselectError):
     """Weight vector missing, wrong length, or non-finite."""
-
-
-class LengthMismatch(OrthoSubselectError):
-    """Paired vectors have different lengths."""
 
 
 class SamplingFailed(OrthoSubselectError):

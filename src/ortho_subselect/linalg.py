@@ -1,10 +1,10 @@
 """Dense linear-algebra kernels.
 
-Row orthonormalization by QR, compressed Gram matrices over a column subset,
-extreme eigenvalues of small symmetric matrices via LAPACK, the isometry
-deviation functional, and the on-disk matrix text format. Matrices are
-float64 numpy arrays in row-major order; every function here is pure and
-never mutates its arguments.
+Row orthonormalization by QR, the isometry deviation functional over a
+column subset (extreme eigenvalues of the rescaled subset Gram matrix, via
+LAPACK), and the on-disk matrix text format. Matrices are float64 numpy
+arrays in row-major order; every function here is pure and never mutates
+its arguments.
 
 Public functions check their inputs; orthonormality and rank use the fixed
 tolerance ``ORTHO_TOL``. ``_gram_extremes``, the one home of the deviation
@@ -23,12 +23,10 @@ from .errors import (
     IndexOutOfRange,
     MatrixFormatError,
     NotOrthonormal,
-    NotSymmetric,
     RankDeficient,
 )
 
 ORTHO_TOL = 1e-10
-SYMMETRY_TOL = 1e-12
 
 
 def as_matrix(m) -> np.ndarray:
@@ -85,7 +83,11 @@ class SubsetIndex:
         idx = np.asarray(self.indices)
         if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
             raise IndexOutOfRange(f"indices must be flat integers, got {idx.dtype}")
-        if np.any(idx[1:] <= idx[:-1]):
+        bad = idx[1:] <= idx[:-1]
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            if idx[j] == idx[j + 1]:
+                raise IndexOutOfRange(f"duplicate index {idx[j]}")
             raise IndexOutOfRange("indices must be strictly increasing")
         if idx.size and (idx[0] < 1 or idx[-1] > self.m):
             raise IndexOutOfRange(
@@ -110,12 +112,6 @@ class SubsetIndex:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class SymEigExtremes:
-    lambda_min: float
-    lambda_max: float
-
-
 def orthonormalize_rows(m) -> OrthoRowMatrix:
     """Orthonormalize the rows of ``m``, preserving their span.
 
@@ -138,18 +134,6 @@ def orthonormalize_rows(m) -> OrthoRowMatrix:
     return OrthoRowMatrix((q * np.sign(rdiag)).T)
 
 
-def sym_eig_extremes(s) -> SymEigExtremes:
-    """Extreme eigenvalues of a symmetric matrix via LAPACK (``eigvalsh``)."""
-    a = as_matrix(s)
-    if a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > SYMMETRY_TOL:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.3e}")
-    w = np.linalg.eigvalsh(a)
-    return SymEigExtremes(float(w[0]), float(w[-1]))
-
-
 def _check_subset(a: OrthoRowMatrix, i: SubsetIndex) -> None:
     if len(i) == 0:
         raise EmptySubset("subset must contain at least one column index")
@@ -157,13 +141,6 @@ def _check_subset(a: OrthoRowMatrix, i: SubsetIndex) -> None:
         raise IndexOutOfRange(
             f"subset is over 1..{i.m} but matrix has {a.m} columns"
         )
-
-
-def compressed_gram(a: OrthoRowMatrix, i: SubsetIndex) -> np.ndarray:
-    """Gram matrix of the selected columns: G_pq = sum_{j in I} a_pj a_qj."""
-    _check_subset(a, i)
-    cols = a.mat[:, i.zero_based()]
-    return cols @ cols.T  # numpy's syrk path: exactly symmetric
 
 
 def _gram_extremes(a: OrthoRowMatrix, cols: np.ndarray) -> tuple[float, float, float]:

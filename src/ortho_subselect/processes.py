@@ -2,8 +2,8 @@
 
 Covers the sign-weighted quadratic supremum over W intersected with the
 unit ball (spectral norm of the sign-compressed basis Gram matrix), Gaussian
-projection norms, the fourth-moment quasimetric with its factor-4 triangle
-inequality and ball-convexity checks, and greedy packing counts.
+projection norms, and sampled checks of the fourth-moment quasimetric: its
+sandwich bound, factor-4 triangle inequality and ball convexity.
 
 Estimator sums are exactly rounded (``math.fsum``), independent of order.
 Draws keep their documented order; only the arithmetic on them is batched.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSignVector, BadWeights, LengthMismatch, SamplingFailed
+from .errors import BadSignVector, BadWeights, SamplingFailed
 from .linalg import OrthoRowMatrix
 from .rng import make_rng, rademacher, trial_rngs
 
@@ -164,34 +164,16 @@ def gaussian_sup_estimates(
     return mean_inf, mean_weighted
 
 
-def _pair_arrays(w1, w2) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(w1, dtype=np.float64)
-    b = np.asarray(w2, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def quasimetric_d(w1, w2) -> float:
-    """Fourth-moment quasimetric
-    d(w, v) = (sum_i (w_i - v_i)^2 (w_i^2 + v_i^2))^(1/2)."""
-    return float(_d_batch(*_pair_arrays(w1, w2)))
-
-
-def quasimetric_dtilde(w1, w2) -> float:
-    """Companion metric dtilde(w, v) = (sum_i (w_i^2 - v_i^2)^2)^(1/2);
-    satisfies dtilde <= sqrt(2) d everywhere."""
-    a, b = _pair_arrays(w1, w2)
-    return float(np.sqrt(np.sum((a * a - b * b) ** 2)))
-
-
 def _d_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Quasimetric d(x, y) = (sum_i (x_i - y_i)^2 (x_i^2 + y_i^2))^(1/2)
+    over the last axis."""
     return np.sqrt(np.sum((x - y) ** 2 * (x * x + y * y), axis=-1))
 
 
 def check_sandwich(samples: int, dim: int, seed: int) -> float:
     """Worst dtilde(w, v) / (sqrt(2) d(w, v)) over sampled Gaussian pairs
-    with d > 0 (0 if there are none); the sandwich bound keeps it <= 1."""
+    with d > 0 (0 if there are none), where dtilde(w, v) =
+    (sum_i (w_i^2 - v_i^2)^2)^(1/2); the sandwich bound keeps it <= 1."""
     if samples < 0 or dim < 1:
         raise ValueError("need samples >= 0 and dim >= 1")
     rng = make_rng(seed)
@@ -302,39 +284,3 @@ def check_ball_convexity(samples: int, dim: int, rho: float, seed: int) -> float
     # one vector-matrix product per combination, as lam @ hull evaluates it
     v = np.matmul(lams[:, None, :], points.reshape(hulls, hull_size, dim)[hull_of])
     return float(np.max(_d_batch(v[:, 0], centers[hull_of]) / rho, initial=0.0))
-
-
-def packing_count(points, metric: str, radius: float, weights=None) -> int:
-    """Size of a greedy packing: scan points in order, keep one iff its
-    distance to every kept point exceeds ``radius``.
-
-    Metrics: "d" (quasimetric), "linf", "weighted" (l2 with per-coordinate
-    weights). Sandwiches the covering number at nearby radii.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a nonempty list of equal-length vectors")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be > 0, got {radius}")
-    if metric == "weighted":
-        if weights is None:
-            raise BadWeights("metric 'weighted' requires weights")
-        wt = np.asarray(weights, dtype=np.float64)
-        if wt.shape != (pts.shape[1],) or not np.all(np.isfinite(wt)):
-            raise BadWeights(f"need {pts.shape[1]} finite weights")
-    elif metric not in ("d", "linf"):
-        raise ValueError(f"unknown metric {metric!r}")
-
-    def dist_to_kept(p, kept):
-        diff = kept - p
-        if metric == "d":
-            return _d_batch(kept, p)
-        if metric == "linf":
-            return np.max(np.abs(diff), axis=1)
-        return np.sqrt(np.sum(diff**2 * wt**2, axis=1))
-
-    kept: list[np.ndarray] = []
-    for p in pts:
-        if not kept or bool(np.all(dist_to_kept(p, np.asarray(kept)) > radius)):
-            kept.append(p)
-    return len(kept)

@@ -91,8 +91,10 @@ def halve_step(
     p = len(parent)
     if p < 2:
         raise SizeOutOfRange(f"cannot halve a subset of size {p}")
-    if epsilon_budget < 0.0:
-        raise InvalidEpsilon(f"budget must be >= 0, got {epsilon_budget}")
+    if not (math.isfinite(epsilon_budget) and epsilon_budget >= 0.0):
+        raise InvalidEpsilon(f"budget must be finite and >= 0, got {epsilon_budget}")
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     _check_subset(a, parent)
     lo, hi = cardinality_window(p)
     cols = parent.zero_based()
@@ -112,7 +114,7 @@ def halve_step(
     )
 
 
-def size_floor(n: int, t: float, epsilon: float, kappa: float = DEFAULT_KAPPA) -> int:
+def _size_floor(n: int, t: float, epsilon: float, kappa: float) -> int:
     """Analytic stopping floor ceil(kappa * (t/epsilon)^2 * n * ln n)."""
     return math.ceil(kappa * (t * t) / (epsilon * epsilon) * n * math.log(n))
 
@@ -130,7 +132,7 @@ def select_subset(
     Stops when (a) a step exhausts its retries (the empirical signal that
     the budget is no longer reachable at the next size), (b) the subset has
     reached ``min_size``, or (c) another halving would undershoot the
-    analytic floor ``size_floor``. Step k derives its seed as
+    analytic floor ``_size_floor``. Step k derives its seed as
     child_seed(seed, k). The returned certificate always satisfies
     epsilon_achieved <= epsilon because every accepted step re-verified the
     global deviation.
@@ -144,7 +146,7 @@ def select_subset(
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     t = coherence(a).t
-    floor = size_floor(a.n, t, epsilon, kappa)
+    floor = _size_floor(a.n, t, epsilon, kappa)
     current = SubsetIndex.full(a.m)
     steps: list[HalvingStep] = []
     while len(current) > min_size and len(current) / 2.0 >= floor:

@@ -22,7 +22,6 @@ from ortho_subselect import (
     check_ball_convexity,
     check_quasi_triangle,
     child_seed,
-    compressed_gram,
     deviation,
     estimate_process,
     gaussian_sup_estimates,
@@ -31,10 +30,7 @@ from ortho_subselect import (
     gen_walsh,
     halve_step,
     make_rng,
-    quasimetric_d,
-    quasimetric_dtilde,
     select_subset,
-    sym_eig_extremes,
 )
 from ortho_subselect.cli import StudyConfig, run_study
 
@@ -214,48 +210,52 @@ def _serial_jacobi_extremes(s, tol=1e-12, max_sweeps=100):
     return float(d.min()), float(d.max())
 
 
-def _selection_grams():
-    """Scaled compressed Grams that real selections hand to the eigensolver.
+def _selection_subsets():
+    """(matrix, subset) pairs whose Grams real selections hand to the eigensolver.
 
     First the two criterion-3 study draws (seed 0) whose exact deviation is
     the budget 0.5 itself: (n=32, trial 9) step 0 retry 2 and (n=64, trial
     5) step 0 retry 15. Then every accepted step of four Walsh 16x256
     selections.
     """
-    grams = []
+    pairs = []
     for n, trial, retry in ((32, 9, 2), (64, 5, 15)):
         a = gen_walsh(n, 16 * n)
         step_seed = child_seed(child_seed(0, n, trial), 0)
         rng = make_rng(child_seed(step_seed, retry))
         keep = rng.integers(0, 2, size=a.m).astype(bool)
-        subset = SubsetIndex(tuple(int(j) for j in np.flatnonzero(keep) + 1), a.m)
-        grams.append(a.m / len(subset) * compressed_gram(a, subset))
+        pairs.append((a, SubsetIndex(np.flatnonzero(keep) + 1, a.m)))
     a = gen_walsh(16, 256)
     for seed in range(4):
         _, trace = select_subset(a, 0.5, seed=seed)
         current = SubsetIndex.full(a.m)
         for k in range(len(trace.steps)):
             current, _ = halve_step(a, current, 0.5, child_seed(seed, k))
-            grams.append(a.m / len(current) * compressed_gram(a, current))
-    assert len(grams) == 7
-    return grams
+            pairs.append((a, current))
+    assert len(pairs) == 7
+    return pairs
+
+
+def _random_subsets():
+    """100 seeded (10 x 40 random orthonormal rows, random subset) pairs;
+    subsets of fewer than 10 columns give singular Grams."""
+    rng = np.random.default_rng(77)
+    pairs = []
+    for seed in range(100):
+        cols = rng.choice(40, size=int(rng.integers(1, 41)), replace=False) + 1
+        subset = SubsetIndex.from_iterable(cols, 40)
+        pairs.append((gen_random_ortho(10, 40, seed=seed), subset))
+    return pairs
 
 
 def test_criterion_09_eigensolver_oracle():
     with Criterion(9, "eigen extremes match serial Jacobi to 1e-8", 5):
-        rng = np.random.default_rng(77)
-        for _ in range(100):
-            s = rng.standard_normal((10, 10))
-            s = 0.5 * (s + s.T)
-            ext = sym_eig_extremes(s)
-            lo, hi = _serial_jacobi_extremes(s)
-            assert abs(ext.lambda_min - lo) <= 1e-8
-            assert abs(ext.lambda_max - hi) <= 1e-8
-        for g in _selection_grams():
-            ext = sym_eig_extremes(g)
-            lo, hi = _serial_jacobi_extremes(g)
-            assert abs(ext.lambda_min - lo) <= 1e-8
-            assert abs(ext.lambda_max - hi) <= 1e-8
+        for a, subset in _random_subsets() + _selection_subsets():
+            x = a.mat[:, subset.zero_based()]
+            lo, hi = _serial_jacobi_extremes(a.m / len(subset) * (x @ x.T))
+            cert = certify(a, subset)
+            assert abs(cert.lambda_min - lo) <= 1e-8
+            assert abs(cert.lambda_max - hi) <= 1e-8
 
 
 def _run_cli(*args, cwd=None):

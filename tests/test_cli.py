@@ -121,6 +121,13 @@ def test_certify_inline_subset_failure_path(tmp_path):
                   "--epsilon", "0.5")
     assert res.returncode == 1
     assert "error" in res.stderr
+    dup = tmp_path / "dup.json"
+    dup.write_text("[5, 3, 3]")
+    for spec in ("5,3,3", str(dup)):
+        res = run_cli("certify", "--input", str(mat), "--subset", spec,
+                      "--epsilon", "0.5")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: duplicate index 3"), res.stderr
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "-1", "inf", "-inf"])

@@ -9,15 +9,12 @@ from ortho_subselect import (
     IndexOutOfRange,
     MatrixFormatError,
     NotOrthonormal,
-    NotSymmetric,
     OrthoRowMatrix,
     RankDeficient,
     SubsetIndex,
-    compressed_gram,
     deviation,
     orthonormalize_rows,
     read_matrix_text,
-    sym_eig_extremes,
     write_matrix_text,
 )
 from ortho_subselect import generators
@@ -131,55 +128,16 @@ def test_ortho_row_matrix_rejects_bad_input():
         OrthoRowMatrix(np.ones((3, 2)))  # n > M
 
 
-def test_sym_eig_diagonal():
-    ext = sym_eig_extremes(np.diag([1.0, 2.0, 3.0]))
-    assert ext.lambda_min == 1.0
-    assert ext.lambda_max == 3.0
-
-
-def test_sym_eig_known_spectrum():
-    ext = sym_eig_extremes([[0.0, 1.0], [1.0, 0.0]])
-    assert abs(ext.lambda_min + 1.0) <= 1e-12
-    assert abs(ext.lambda_max - 1.0) <= 1e-12
-
-
-def test_sym_eig_matches_lapack_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        s = rng.standard_normal((10, 10))
-        s = 0.5 * (s + s.T)
-        ext = sym_eig_extremes(s)
-        w = np.linalg.eigvalsh(s)
-        assert abs(ext.lambda_min - w[0]) <= 1e-8
-        assert abs(ext.lambda_max - w[-1]) <= 1e-8
-
-
-def test_sym_eig_recovers_planted_spectrum():
-    # Q D Q^T with known D: extremes must come back to 1e-8
+def test_certify_recovers_planted_spectrum():
+    # A = [Q diag(sqrt c) | Q diag(sqrt(1 - c))] has orthonormal rows, and its
+    # first half has the scaled Gram 2 Q diag(c) Q^T: extremes 2 min c, 2 max c
     rng = np.random.default_rng(17)
-    d = np.array([-3.5, -1.0, 0.25, 0.5, 2.0, 7.75])
-    g = rng.standard_normal((6, 6))
-    q, _ = np.linalg.qr(g)
-    ext = sym_eig_extremes(q @ np.diag(d) @ q.T)
-    assert abs(ext.lambda_min - d.min()) <= 1e-8
-    assert abs(ext.lambda_max - d.max()) <= 1e-8
-
-
-def test_sym_eig_largest_supported_size():
-    rng = np.random.default_rng(23)
-    s = rng.standard_normal((256, 256))
-    s = 0.5 * (s + s.T)
-    ext = sym_eig_extremes(s)
-    w = np.linalg.eigvalsh(s)
-    assert abs(ext.lambda_min - w[0]) <= 1e-8
-    assert abs(ext.lambda_max - w[-1]) <= 1e-8
-
-
-def test_sym_eig_rejects_asymmetry():
-    with pytest.raises(NotSymmetric):
-        sym_eig_extremes([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
-    with pytest.raises(NotSymmetric):
-        sym_eig_extremes(np.ones((2, 3)))
+    c = np.array([0.05, 0.2, 0.35, 0.5, 0.75, 0.9])
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    a = OrthoRowMatrix(np.hstack([q * np.sqrt(c), q * np.sqrt(1.0 - c)]))
+    cert = certify(a, SubsetIndex.from_iterable(range(1, 7), 12))
+    assert abs(cert.lambda_min - 2.0 * c.min()) <= 1e-8
+    assert abs(cert.lambda_max - 2.0 * c.max()) <= 1e-8
 
 
 def _flat_row(p: float) -> OrthoRowMatrix:
@@ -190,31 +148,33 @@ def test_gram_full_set_is_identity():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((3, 12))
     a = orthonormalize_rows(m)
-    g = compressed_gram(a, SubsetIndex.full(12))
-    assert np.max(np.abs(g - np.eye(3))) <= ORTHO_TOL
+    cert = certify(a, SubsetIndex.full(12))
+    assert max(1.0 - cert.lambda_min, cert.lambda_max - 1.0) <= ORTHO_TOL
 
 
 def test_gram_single_column():
-    a = _flat_row(0.8)
-    g = compressed_gram(a, SubsetIndex((1,), 2))
-    assert abs(g[0, 0] - 0.8) <= 1e-12
+    cert = certify(_flat_row(0.8), SubsetIndex((1,), 2))
+    assert abs(cert.lambda_min - 1.6) <= 1e-12  # (M/|I|) * 0.8
+    assert cert.lambda_max == cert.lambda_min
 
 
 def test_gram_additive_over_disjoint_subsets():
+    # one row: the Gram is the scalar (|I|/M) * lambda
     rng = np.random.default_rng(3)
-    a = orthonormalize_rows(rng.standard_normal((4, 20)))
+    a = orthonormalize_rows(rng.standard_normal((1, 20)))
     idx = rng.permutation(20) + 1
-    i1 = SubsetIndex.from_iterable(idx[:7], 20)
-    i2 = SubsetIndex.from_iterable(idx[7:16], 20)
-    union = SubsetIndex.from_iterable(idx[:16], 20)
-    total = compressed_gram(a, i1) + compressed_gram(a, i2)
-    assert np.max(np.abs(total - compressed_gram(a, union))) <= 1e-12
+
+    def gram(cols):
+        cert = certify(a, SubsetIndex.from_iterable(cols, a.m))
+        return len(cols) / a.m * cert.lambda_max
+
+    assert abs(gram(idx[:7]) + gram(idx[7:16]) - gram(idx[:16])) <= 1e-12
 
 
 def test_gram_errors():
     a = _flat_row(0.5)
     # every consumer of a subset Gram rejects the empty subset the same way
-    for fn in (compressed_gram, deviation, certify):
+    for fn in (deviation, certify):
         with pytest.raises(EmptySubset, match="at least one column"):
             fn(a, SubsetIndex((), 2))
     with pytest.raises(IndexOutOfRange):
@@ -224,7 +184,7 @@ def test_gram_errors():
     with pytest.raises(IndexOutOfRange):
         SubsetIndex((2, 1), 2)
     with pytest.raises(IndexOutOfRange):
-        compressed_gram(a, SubsetIndex((1,), 3))  # width mismatch
+        deviation(a, SubsetIndex((1,), 3))  # width mismatch
 
 
 def test_subset_index_requires_flat_integers():
@@ -239,8 +199,10 @@ def test_subset_index_requires_flat_integers():
     assert all(type(x) is int for x in i.indices)
     assert len(SubsetIndex((), 4)) == 0
     assert SubsetIndex.from_iterable({3, 1}, 4).indices == (1, 3)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match="duplicate index 2"):
         SubsetIndex.from_iterable([2, 1, 2], 4)
+    with pytest.raises(IndexOutOfRange, match="strictly increasing"):
+        SubsetIndex((2, 1, 1), 4)
 
 
 def test_deviation_full_set_is_zero():

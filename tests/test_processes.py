@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from ortho_subselect import (
     BadSignVector,
     BadWeights,
-    LengthMismatch,
     NotOrthonormal,
     ProcessEstimate,
     SubspaceBasis,
@@ -22,14 +21,11 @@ from ortho_subselect import (
     gen_random_ortho,
     gen_walsh,
     make_rng,
-    packing_count,
     proj_l1_l2_norm,
-    quasimetric_d,
-    quasimetric_dtilde,
     rademacher,
     sup_process_sample,
 )
-from ortho_subselect.processes import check_sandwich
+from ortho_subselect.processes import _d_batch, check_sandwich
 from ortho_subselect.rng import _SEED_CHUNK
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
@@ -73,6 +69,16 @@ def _estimate_process_loop(w, trials, seed):
 TRIAL_COUNTS = (1, 2, 63, 64, 65, _SEED_CHUNK - 1, _SEED_CHUNK, _SEED_CHUNK + 1)
 
 
+def _quasi_d(x, y) -> float:
+    """Reference quasimetric d(x, y) = (sum_i (x_i - y_i)^2 (x_i^2 + y_i^2))^(1/2)."""
+    return float(np.sqrt(np.sum((x - y) ** 2 * (x * x + y * y))))
+
+
+def _quasi_dtilde(x, y) -> float:
+    """Reference companion metric dtilde(x, y) = (sum_i (x_i^2 - y_i^2)^2)^(1/2)."""
+    return float(np.sqrt(np.sum((x * x - y * y) ** 2)))
+
+
 def _ball_point(rng, center, rho, max_shrink=80):
     """Reference: one ball point, shrinking its own Gaussian offset."""
     delta = rng.standard_normal(center.shape)
@@ -80,7 +86,7 @@ def _ball_point(rng, center, rho, max_shrink=80):
     alpha = 1.0
     for _ in range(max_shrink):
         candidate = center + alpha * delta
-        dist = quasimetric_d(candidate, center)
+        dist = _quasi_d(candidate, center)
         if dist <= rho:
             return candidate
         alpha *= min(0.7, 0.9 * frac * rho / dist)
@@ -98,7 +104,7 @@ def _ball_convexity_loop(samples, dim, rho, seed):
         take = min(8, samples - done)
         for _ in range(take):
             lam = rng.dirichlet(np.ones(6))
-            worst = max(worst, quasimetric_d(lam @ hull, center) / rho)
+            worst = max(worst, _quasi_d(lam @ hull, center) / rho)
         done += take
     return worst
 
@@ -286,12 +292,11 @@ def test_gaussian_sup_rejects_bad_weights():
 
 
 def test_quasimetric_basics():
-    assert quasimetric_d([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert quasimetric_d([1.0, 0.0], [0.0, 0.0]) == 1.0
-    a, b = [0.3, -1.2, 2.0], [1.1, 0.4, -0.7]
-    assert quasimetric_d(a, b) == quasimetric_d(b, a)
-    with pytest.raises(LengthMismatch):
-        quasimetric_d([1.0], [1.0, 2.0])
+    # _d_batch is the one d that the triangle, ball and sandwich checks share
+    x = np.array([[1.0, 2.0], [1.0, 0.0]])
+    assert _d_batch(x, np.array([[1.0, 2.0], [0.0, 0.0]])).tolist() == [0.0, 1.0]
+    a, b = np.array([0.3, -1.2, 2.0]), np.array([1.1, 0.4, -0.7])
+    assert _d_batch(a, b) == _d_batch(b, a)
 
 
 @settings(max_examples=200, deadline=None)
@@ -301,8 +306,8 @@ def test_quasimetric_basics():
 )
 def test_quasimetric_sandwich_property(x, y):
     # dtilde <= sqrt(2) d, with zero only at equal squares
-    d = quasimetric_d(x, y)
-    dt = quasimetric_dtilde(x, y)
+    d = float(_d_batch(x, y))
+    dt = _quasi_dtilde(x, y)
     assert dt <= math.sqrt(2.0) * d or dt == d == 0.0
 
 
@@ -314,9 +319,9 @@ def test_check_sandwich_matches_pairwise_loop():
         y = rng.standard_normal((samples, dim))
         worst = 0.0
         for a, b in zip(x, y):
-            d = quasimetric_d(a, b)
+            d = _quasi_d(a, b)
             if d > 0.0:
-                worst = max(worst, quasimetric_dtilde(a, b) / (math.sqrt(2.0) * d))
+                worst = max(worst, _quasi_dtilde(a, b) / (math.sqrt(2.0) * d))
         assert check_sandwich(samples, dim, seed) == worst
         assert worst <= 1.0
     assert check_sandwich(0, 2, seed=0) == 0.0
@@ -431,40 +436,3 @@ def test_ball_convexity_reports_sampler_failure(monkeypatch):
 def test_estimate_process_needs_two_trials():
     with pytest.raises(ValueError):
         estimate_process(SubspaceBasis.coordinate_span(4, 1), trials=1, seed=0)
-
-
-def test_packing_degenerate_cases():
-    same = np.zeros((5, 3))
-    assert packing_count(same, "linf", radius=0.1) == 1
-    rng = np.random.default_rng(8)
-    pts = rng.standard_normal((20, 3))
-    assert packing_count(pts, "d", radius=1e-12) == 20
-    with pytest.raises(BadWeights):
-        packing_count(pts, "weighted", radius=0.1)
-    with pytest.raises(ValueError):
-        packing_count(pts, "l2", radius=0.1)
-
-
-def test_packing_covering_form_with_fitted_constant():
-    # greedy packings of W cap B^M under l-infinity obey
-    # log(count) <= (C Q sqrt(ln M) / radius)^2 with a single O(1) fitted C
-    a = gen_random_ortho(2, 8, seed=21)
-    w = SubspaceBasis.from_ortho_rows(a)
-    q = proj_l1_l2_norm(w)
-    rng = np.random.default_rng(5)
-    y = rng.standard_normal((512, 2))
-    y = y / np.linalg.norm(y, axis=1, keepdims=True)
-    y *= rng.uniform(0.0, 1.0, 512)[:, None] ** 0.5
-    pts = y @ a.mat
-    radii = (0.05, 0.1, 0.2, 0.3, 0.5)
-    counts = [packing_count(pts, "linf", r) for r in radii]
-    assert all(a2 <= a1 for a1, a2 in zip(counts, counts[1:]))
-    fitted = max(
-        r * math.sqrt(math.log(c)) / (q * math.sqrt(math.log(8)))
-        for r, c in zip(radii, counts)
-        if c > 1
-    )
-    assert fitted <= 1.5
-    for r, c in zip(radii, counts):
-        assert math.log(c) <= (fitted * q * math.sqrt(math.log(8)) / r) ** 2 + 1e-9
-

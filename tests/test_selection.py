@@ -15,7 +15,6 @@ from ortho_subselect import (
     certify,
     child_seed,
     coherence,
-    compressed_gram,
     deviation,
     gen_random_ortho,
     gen_trig,
@@ -23,7 +22,6 @@ from ortho_subselect import (
     halve_step,
     make_rng,
     select_subset,
-    sym_eig_extremes,
     uniform_baseline,
 )
 from ortho_subselect import selection
@@ -59,6 +57,30 @@ def test_halve_step_zero_budget_exhausts():
     a = gen_random_ortho(2, 8, seed=3)
     with pytest.raises(RetriesExhausted):
         halve_step(a, SubsetIndex.full(8), 0.0, seed=0, max_retries=16)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [({"epsilon_budget": math.nan}, InvalidEpsilon),
+     ({"epsilon_budget": math.inf}, InvalidEpsilon),
+     ({"epsilon_budget": -0.5}, InvalidEpsilon),
+     ({"max_retries": 0}, ValueError),
+     ({"max_retries": -3}, ValueError)],
+    ids=["nan", "inf", "negative", "zero-retries", "negative-retries"],
+)
+def test_halve_step_rejects_bad_budget_and_retries(monkeypatch, kwargs, error):
+    draws = []
+
+    def counted(seed):
+        draws.append(seed)
+        return make_rng(seed)
+
+    monkeypatch.setattr(selection, "make_rng", counted)
+    (_, value), = kwargs.items()
+    args = {"epsilon_budget": 0.5, **kwargs}
+    with pytest.raises(error, match=f"must be .*, got {value}"):
+        halve_step(gen_walsh(4, 16), SubsetIndex.full(16), seed=0, **args)
+    assert draws == []
 
 
 def test_halve_step_records_accepting_draw():
@@ -335,8 +357,8 @@ def test_halve_step_checks_parent_width_before_drawing(monkeypatch):
 
 @pytest.mark.parametrize("gen", [gen_walsh, gen_trig], ids=["walsh", "trig"])
 def test_study_grams_are_exactly_symmetric(monkeypatch, gen):
-    # every Gram a study evaluates: compressed_gram needs no 0.5 * (g + g.T),
-    # and deviation equals the checked eigensolver path bit for bit
+    # every Gram a study evaluates is exactly symmetric, and deviation equals
+    # eigvalsh of the scaled Gram formed here, bit for bit
     seen = []
     gram_extremes = selection._gram_extremes
 
@@ -352,9 +374,9 @@ def test_study_grams_are_exactly_symmetric(monkeypatch, gen):
     monkeypatch.undo()
     assert len(seen) >= 50
     for a, cols in seen:
-        subset = SubsetIndex(cols + 1, a.m)
-        g = compressed_gram(a, subset)
+        x = a.mat[:, cols]
+        g = x @ x.T
         assert np.array_equal(g, g.T)
-        ext = sym_eig_extremes((a.m / len(subset)) * g)
-        dev = max(ext.lambda_max - 1.0, 1.0 - ext.lambda_min)
-        assert deviation(a, subset) == dev
+        w = np.linalg.eigvalsh((a.m / len(cols)) * g)
+        dev = max(float(w[-1]) - 1.0, 1.0 - float(w[0]))
+        assert deviation(a, SubsetIndex(cols + 1, a.m)) == dev
