@@ -32,7 +32,6 @@ from .linalg import (
 )
 from .processes import (
     ProcessEstimate,
-    SubspaceBasis,
     check_ball_convexity,
     check_quasi_triangle,
     estimate_process,

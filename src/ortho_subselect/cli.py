@@ -18,13 +18,14 @@ import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import IndexOutOfRange, InvalidEpsilon, OrthoSubselectError
 from .generators import coherence, gen_random_ortho, gen_trig, gen_walsh
 from .jsonio import dumps, format_float
 from .linalg import OrthoRowMatrix, SubsetIndex, read_matrix_text, write_matrix_text
 from .processes import (
     ProcessEstimate,
-    SubspaceBasis,
     check_ball_convexity,
     check_quasi_triangle,
     check_sandwich,
@@ -160,7 +161,10 @@ def parse_subset_spec(spec: str, m: int) -> SubsetIndex:
     """Subset from a certificate/trace JSON path or an inline index list."""
     path = Path(spec)
     if path.exists():
-        data = json.loads(path.read_text(encoding="ascii"))
+        try:
+            data = json.loads(path.read_text(encoding="ascii"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise OrthoSubselectError(f"{spec}: {exc}") from exc
         if isinstance(data, dict) and "subset" in data:
             arr = data["subset"]
         elif isinstance(data, dict) and "final_subset" in data:
@@ -276,7 +280,7 @@ def _estimator_line(check: str, est: ProcessEstimate) -> dict:
 
 def _verify_process(trials: int, seed: int) -> list[dict]:
     out = []
-    fixture = SubspaceBasis.coordinate_span(64, 1)
+    fixture = OrthoRowMatrix(np.eye(1, 64))
     est = estimate_process(fixture, max(2, min(trials, 64)), child_seed(seed, "fixture"))
     out.append(_estimator_line("process_fixture_span_e1", est))
     out.append(
@@ -290,8 +294,7 @@ def _verify_process(trials: int, seed: int) -> list[dict]:
     )
     ratios = []
     for n, m in ((8, 128), (16, 256), (32, 512)):
-        w = SubspaceBasis.from_ortho_rows(gen_walsh(n, m))
-        est = estimate_process(w, trials, child_seed(seed, "grid", n, m))
+        est = estimate_process(gen_walsh(n, m), trials, child_seed(seed, "grid", n, m))
         ratios.append(est.bound_ratio)
         out.append(_estimator_line(f"process_walsh_n{n}_M{m}", est))
     spread = max(ratios) / min(ratios)
@@ -306,7 +309,7 @@ def _verify_process(trials: int, seed: int) -> list[dict]:
 def _verify_sudakov(trials: int, seed: int) -> list[dict]:
     out = []
     m = 64
-    fixture = SubspaceBasis.coordinate_span(m, 1)
+    fixture = OrthoRowMatrix(np.eye(1, m))
     se = HALF_NORMAL_STD / math.sqrt(trials)
 
     mean_inf, _ = gaussian_sup_estimates(fixture, None, trials, child_seed(seed, "inf"))

@@ -1,5 +1,6 @@
 """Monte-Carlo estimators and property samplers over subspace sections.
 
+W is the row space of an ``OrthoRowMatrix`` A, checked once on entry.
 Covers the sign-weighted quadratic supremum over W intersected with the
 unit ball (spectral norm of the sign-compressed basis Gram matrix), Gaussian
 projection norms, and sampled checks of the fourth-moment quasimetric: its
@@ -30,38 +31,6 @@ from .rng import make_rng, rademacher, trial_rngs
 _BLOCK_ENTRIES = 1 << 12
 
 
-@dataclass(frozen=True, eq=False)
-class SubspaceBasis:
-    """M x n matrix with orthonormal columns spanning the subspace W."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        # U^T has orthonormal rows; OrthoRowMatrix keeps the caller's array
-        rows = OrthoRowMatrix(np.asarray(self.u, dtype=np.float64).T)
-        object.__setattr__(self, "u", rows.mat.T)
-
-    @classmethod
-    def from_ortho_rows(cls, a: OrthoRowMatrix) -> "SubspaceBasis":
-        """Basis of the row space of ``a`` (columns of A^T)."""
-        return cls(a.mat.T.copy())
-
-    @classmethod
-    def coordinate_span(cls, m: int, dims: int = 1) -> "SubspaceBasis":
-        """Span of the first ``dims`` standard basis vectors of R^M."""
-        u = np.zeros((m, dims))
-        u[np.arange(dims), np.arange(dims)] = 1.0
-        return cls(u)
-
-    @property
-    def m(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[1]
-
-
 @dataclass(frozen=True)
 class ProcessEstimate:
     mean: float
@@ -72,37 +41,37 @@ class ProcessEstimate:
     seed: int
 
 
-def proj_l1_l2_norm(w: SubspaceBasis) -> float:
+def proj_l1_l2_norm(a: OrthoRowMatrix) -> float:
     """l1 -> l2 operator norm of the orthogonal projection onto W.
 
-    Equals the largest row norm of U, because the projection of a standard
-    basis vector has norm ||U^T e_j|| = ||row j of U||.
+    Equals the largest column norm of A, because the projection of a
+    standard basis vector has norm ||A e_j|| = ||column j of A||.
     """
-    return float(np.max(np.linalg.norm(w.u, axis=1)))
+    return float(np.max(np.linalg.norm(a.mat, axis=0)))
 
 
-def sup_process_sample(w: SubspaceBasis, signs) -> float:
+def sup_process_sample(a: OrthoRowMatrix, signs) -> float:
     """Supremum over unit w in W of |sum_i signs_i * w(i)^2|.
 
-    Writing w = U y reduces the supremum to the spectral norm of
-    S = U^T diag(signs) U, computed by the LAPACK symmetric eigensolver.
+    Writing w = A^T y reduces the supremum to the spectral norm of
+    S = A diag(signs) A^T, computed by the LAPACK symmetric eigensolver.
     """
     s = np.asarray(signs, dtype=np.float64)
-    if s.shape != (w.m,):
-        raise BadSignVector(f"need {w.m} signs, got shape {s.shape}")
+    if s.shape != (a.m,):
+        raise BadSignVector(f"need {a.m} signs, got shape {s.shape}")
     if not np.all(np.abs(s) == 1.0):
         raise BadSignVector("signs must be exactly +-1")
-    return _sign_sup(w, s)
+    return _sign_sup(np.ascontiguousarray(a.mat.T), s)
 
 
-def _sign_sup(w: SubspaceBasis, s: np.ndarray) -> float:
-    """sup_process_sample without its checks on ``s``."""
-    core = (w.u * s[:, None]).T @ w.u
+def _sign_sup(u: np.ndarray, s: np.ndarray) -> float:
+    """sup_process_sample on the C-ordered basis u = A^T, without checks."""
+    core = (u * s[:, None]).T @ u
     ev = np.linalg.eigvalsh(0.5 * (core + core.T))  # symmetrized exactly
     return max(abs(float(ev[0])), abs(float(ev[-1])))
 
 
-def estimate_process(w: SubspaceBasis, trials: int, seed: int) -> ProcessEstimate:
+def estimate_process(a: OrthoRowMatrix, trials: int, seed: int) -> ProcessEstimate:
     """Monte-Carlo mean of the sign-weighted supremum over independent draws.
 
     Trial k draws its signs from the generator seeded by
@@ -112,20 +81,22 @@ def estimate_process(w: SubspaceBasis, trials: int, seed: int) -> ProcessEstimat
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
 
-    # rademacher signs are +-1, so the unchecked supremum applies
-    values = np.asarray([_sign_sup(w, rademacher(rng, w.m))
+    # rademacher signs are +-1, so the unchecked supremum applies; u is a
+    # C-ordered copy because the layout of A^T sets the rounding of its sums
+    u = np.ascontiguousarray(a.mat.T)
+    values = np.asarray([_sign_sup(u, rademacher(rng, a.m))
                          for rng in trial_rngs(seed, 0, trials)])
     mean = math.fsum(values) / trials
     var = math.fsum((values - mean) ** 2) / (trials - 1)
     std_error = math.sqrt(var / trials)
-    q = proj_l1_l2_norm(w)
-    denom = q * math.sqrt(math.log(w.m))
+    q = proj_l1_l2_norm(a)
+    denom = q * math.sqrt(math.log(a.m))
     ratio = mean / denom if denom > 0.0 else math.inf
     return ProcessEstimate(mean, std_error, trials, q, ratio, seed)
 
 
 def gaussian_sup_estimates(
-    w: SubspaceBasis, weights, trials: int, seed: int
+    a: OrthoRowMatrix, weights, trials: int, seed: int
 ) -> tuple[float, float | None]:
     """Monte-Carlo means of ||P_W g||_inf and, when ``weights`` is given,
     of the weighted norm (sum_i (P_W g)_i^2 * weights_i^2)^(1/2).
@@ -139,14 +110,15 @@ def gaussian_sup_estimates(
     wt = None
     if weights is not None:
         wt = np.asarray(weights, dtype=np.float64)
-        if wt.shape != (w.m,):
-            raise BadWeights(f"need {w.m} weights, got shape {wt.shape}")
+        if wt.shape != (a.m,):
+            raise BadWeights(f"need {a.m} weights, got shape {wt.shape}")
         if not np.all(np.isfinite(wt)):
             raise BadWeights("weights must be finite")
+    u = np.ascontiguousarray(a.mat.T)
     inf_vals = np.empty(trials)
     wvals = np.empty(trials) if wt is not None else None
-    block = max(1, _BLOCK_ENTRIES // w.m)
-    g = np.empty((min(block, trials), w.m))
+    block = max(1, _BLOCK_ENTRIES // a.m)
+    g = np.empty((min(block, trials), a.m))
     rngs = trial_rngs(seed, 0, trials)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
@@ -155,7 +127,7 @@ def gaussian_sup_estimates(
             rng.standard_normal(out=row)
         # einsum without ``optimize`` stays off threaded BLAS, whose idle
         # workers spin for longer than these small contractions take
-        proj = np.einsum("tn,mn->tm", np.einsum("tm,mn->tn", g[: stop - start], w.u), w.u)
+        proj = np.einsum("tn,mn->tm", np.einsum("tm,mn->tn", g[: stop - start], u), u)
         inf_vals[start:stop] = np.max(np.abs(proj), axis=1)
         if wvals is not None:
             wvals[start:stop] = np.sqrt(np.sum(proj * proj * wt * wt, axis=1))

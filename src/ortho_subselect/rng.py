@@ -7,10 +7,11 @@ read big-endian. Generators are NumPy PCG64 (``numpy.random.default_rng``).
 Both choices are load-bearing for replay of recorded traces and must not
 change silently.
 
-Monte-Carlo loops take their per-trial generators from :func:`trial_rngs`.
-It evaluates ``SeedSequence(child_seed(seed, k)).generate_state(4, uint64)``
-(O'Neill's seed_seq mixer, as numpy implements it) for a chunk of trials at
-once in uint32 numpy arithmetic, and hands each row of words to PCG64, so
+Every per-index stream, Monte-Carlo trial k and halving retry k alike,
+takes its generator from :func:`trial_rngs`. It evaluates
+``SeedSequence(child_seed(seed, k)).generate_state(4, uint64)`` (O'Neill's
+seed_seq mixer, as numpy implements it) for a chunk of indices at once in
+uint32 numpy arithmetic, and hands each row of words to PCG64, so
 every stream is bit-identical to ``default_rng(child_seed(seed, k))``.
 ``tests/test_rng.py`` guards that identity against numpy's own SeedSequence.
 """

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidEpsilon, RetriesExhausted, SizeOutOfRange
 from .generators import coherence
 from .linalg import OrthoRowMatrix, SubsetIndex, _check_subset, _gram_extremes
-from .rng import child_seed, make_rng, trial_rngs
+from .rng import child_seed, trial_rngs
 
 DEFAULT_MAX_RETRIES = 64
 # Floor coefficient for the analytic stop ceil(kappa * t^2/eps^2 * n * ln n),
@@ -44,7 +44,6 @@ class HalvingStep:
 @dataclass(frozen=True)
 class SelectionTrace:
     steps: tuple[HalvingStep, ...]
-    initial_m: int
     final_subset: SubsetIndex
     epsilon_target: float
 
@@ -98,8 +97,7 @@ def halve_step(
     _check_subset(a, parent)
     lo, hi = cardinality_window(p)
     cols = parent.zero_based()
-    for retry in range(max_retries):
-        rng = make_rng(child_seed(seed, retry))
+    for retry, rng in enumerate(trial_rngs(seed, 0, max_retries)):
         keep = rng.integers(0, 2, size=p).astype(bool)  # sign +1 <=> keep
         size = int(keep.sum())
         if size < 1 or size < lo or size > hi:
@@ -158,7 +156,7 @@ def select_subset(
             break
         steps.append(step)
     cert = _certificate(a, current, t)
-    trace = SelectionTrace(tuple(steps), a.m, current, epsilon)
+    trace = SelectionTrace(tuple(steps), current, epsilon)
     return cert, trace
 
 

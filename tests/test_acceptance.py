@@ -16,8 +16,8 @@ import time
 import numpy as np
 
 from ortho_subselect import (
+    OrthoRowMatrix,
     SubsetIndex,
-    SubspaceBasis,
     certify,
     check_ball_convexity,
     check_quasi_triangle,
@@ -116,13 +116,11 @@ def test_criterion_04_epsilon_scaling():
 
 def test_criterion_05_process_bound_stability():
     with Criterion(5, "sign-process bound_ratio stable within factor 2", 120):
-        fixture = estimate_process(SubspaceBasis.coordinate_span(64, 1),
-                                   trials=200, seed=1)
+        fixture = estimate_process(OrthoRowMatrix(np.eye(1, 64)), trials=200, seed=1)
         assert fixture.mean == 1.0
         ratios = []
         for n, m in ((8, 128), (16, 256), (32, 512)):
-            w = SubspaceBasis.from_ortho_rows(gen_walsh(n, m))
-            est = estimate_process(w, trials=200, seed=n)
+            est = estimate_process(gen_walsh(n, m), trials=200, seed=n)
             ratios.append(est.bound_ratio)
         spread = max(ratios) / min(ratios)
         assert spread < 2.0, f"bound_ratio spread {spread:.3f} >= 2"
@@ -132,7 +130,7 @@ def test_criterion_06_gaussian_sup_fixture():
     with Criterion(6, "E||P_W g||_inf matches the half-normal mean", 10):
         trials = 10_000
         mean_inf, _ = gaussian_sup_estimates(
-            SubspaceBasis.coordinate_span(64, 1), None, trials, seed=2
+            OrthoRowMatrix(np.eye(1, 64)), None, trials, seed=2
         )
         expected = math.sqrt(2.0 / math.pi)
         se = math.sqrt(1.0 - 2.0 / math.pi) / math.sqrt(trials)

@@ -198,6 +198,26 @@ def test_study_rejects_nan_kappa(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "name, data",
+    [("cert.json", b'{"subset": [1, 2'), ("cert.json", b'{"subset": [1, 2]}\xc3\xa9'),
+     ("w.txt", b"1 1\n1\xc3\xa9\n")],
+    ids=["truncated-json", "non-ascii-json", "non-ascii-matrix"],
+)
+def test_certify_names_an_unreadable_file(tmp_path, name, data):
+    mat = tmp_path / "w.txt"
+    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
+            "--output", str(mat))
+    bad = tmp_path / name  # w.txt overwrites the matrix itself
+    bad.write_bytes(data)
+    res = run_cli("certify", "--input", str(mat), "--subset", str(tmp_path / "cert.json"),
+                  "--epsilon", "0.5")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {bad}: ")
+    assert "Traceback" not in res.stderr
+
+
 def test_certify_rejects_malformed_matrix(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n1 0\n")

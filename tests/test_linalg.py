@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,8 @@ def test_orthonormalize_and_oracle_accept_small_residual():
 def test_ortho_row_matrix_rejects_bad_input():
     with pytest.raises(NotOrthonormal):
         OrthoRowMatrix(np.array([[1.0, 1.0]]))
+    with pytest.raises(NotOrthonormal):
+        OrthoRowMatrix(np.ones((2, 4)))  # equal rows
     with pytest.raises(NotOrthonormal):
         OrthoRowMatrix(np.diag([1.0, 1.0, 0.0]))  # rank 2, not orthonormal
     with pytest.raises(NotOrthonormal):
@@ -260,12 +263,13 @@ def test_matrix_text_round_trip(tmp_path):
         "1 2\n0.7071067811865476 0.707_1067811865476\n",
         "1 2_0\n" + "0 " * 19 + "1\n",
         "1_0 2\n" + "1 0\n" * 10,
+        "1 1\n1\u00e9\n",  # not ASCII
     ],
 )
 def test_matrix_text_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
-    with pytest.raises(MatrixFormatError):
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MatrixFormatError, match=re.escape(str(path))):
         read_matrix_text(path)
 
 

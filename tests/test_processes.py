@@ -10,9 +10,8 @@ from hypothesis.extra.numpy import arrays
 from ortho_subselect import (
     BadSignVector,
     BadWeights,
-    NotOrthonormal,
+    OrthoRowMatrix,
     ProcessEstimate,
-    SubspaceBasis,
     check_ball_convexity,
     check_quasi_triangle,
     child_seed,
@@ -32,19 +31,19 @@ HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 HALF_NORMAL_STD = math.sqrt(1.0 - 2.0 / math.pi)
 
 
-def ones_span(m: int) -> SubspaceBasis:
-    return SubspaceBasis(np.full((m, 1), 1.0 / math.sqrt(m)))
+def ones_span(m: int) -> OrthoRowMatrix:
+    return OrthoRowMatrix(np.full((1, m), 1.0 / math.sqrt(m)))
 
 
-def _gaussian_sup_loop(w, weights, trials, seed):
+def _gaussian_sup_loop(a, weights, trials, seed):
     """Reference: one projection per trial, drawn and reduced one at a time."""
     wt = None if weights is None else np.asarray(weights, dtype=np.float64)
     inf_vals = np.empty(trials)
     wvals = np.empty(trials)
     for trial in range(trials):
         rng = make_rng(child_seed(seed, trial))
-        g = rng.standard_normal(w.m)
-        proj = w.u @ (w.u.T @ g)
+        g = rng.standard_normal(a.m)
+        proj = a.mat.T @ (a.mat @ g)
         inf_vals[trial] = np.max(np.abs(proj))
         if wt is not None:
             wvals[trial] = math.sqrt(float(np.sum(proj * proj * wt * wt)))
@@ -52,16 +51,16 @@ def _gaussian_sup_loop(w, weights, trials, seed):
     return math.fsum(inf_vals) / trials, mean_weighted
 
 
-def _estimate_process_loop(w, trials, seed):
+def _estimate_process_loop(a, trials, seed):
     """Reference: one generator and one checked supremum per trial."""
     values = np.asarray([
-        sup_process_sample(w, rademacher(make_rng(child_seed(seed, k)), w.m))
+        sup_process_sample(a, rademacher(make_rng(child_seed(seed, k)), a.m))
         for k in range(trials)
     ])
     mean = math.fsum(values) / trials
     var = math.fsum((values - mean) ** 2) / (trials - 1)
-    q = proj_l1_l2_norm(w)
-    ratio = mean / (q * math.sqrt(math.log(w.m)))
+    q = proj_l1_l2_norm(a)
+    ratio = mean / (q * math.sqrt(math.log(a.m)))
     return ProcessEstimate(mean, math.sqrt(var / trials), trials, q, ratio, seed)
 
 
@@ -109,15 +108,8 @@ def _ball_convexity_loop(samples, dim, rho, seed):
     return worst
 
 
-def test_basis_validation():
-    with pytest.raises(NotOrthonormal):
-        SubspaceBasis(np.ones((4, 2)))
-    with pytest.raises(NotOrthonormal):
-        SubspaceBasis(np.ones((2, 4)))
-
-
 def test_q_on_coordinate_span():
-    assert proj_l1_l2_norm(SubspaceBasis.coordinate_span(10, 3)) == 1.0
+    assert proj_l1_l2_norm(OrthoRowMatrix(np.eye(3, 10))) == 1.0
 
 
 def test_q_on_ones_span():
@@ -128,10 +120,9 @@ def test_q_on_ones_span():
 def test_q_equals_max_projected_basis_vector():
     # definitional oracle: max_j ||P_W e_j|| computed through the projector
     a = gen_random_ortho(3, 12, seed=4)
-    w = SubspaceBasis.from_ortho_rows(a)
-    proj = w.u @ w.u.T
+    proj = a.mat.T @ a.mat
     direct = max(float(np.linalg.norm(proj[:, j])) for j in range(12))
-    assert abs(proj_l1_l2_norm(w) - direct) <= 1e-12
+    assert abs(proj_l1_l2_norm(a) - direct) <= 1e-12
 
 
 def test_q_bounded_by_coherence():
@@ -139,49 +130,43 @@ def test_q_bounded_by_coherence():
     from ortho_subselect import coherence
 
     for a in (gen_walsh(8, 64), gen_random_ortho(5, 40, seed=8)):
-        w = SubspaceBasis.from_ortho_rows(a)
         t = coherence(a).t
-        assert proj_l1_l2_norm(w) <= t * math.sqrt(a.n / a.m) + 1e-12
+        assert proj_l1_l2_norm(a) <= t * math.sqrt(a.n / a.m) + 1e-12
 
 
 def test_sup_sample_coordinate_span():
-    w = SubspaceBasis.coordinate_span(8, 1)
+    a = OrthoRowMatrix(np.eye(1, 8))
     signs = rademacher(make_rng(0), 8)
-    assert sup_process_sample(w, signs) == 1.0
+    assert sup_process_sample(a, signs) == 1.0
 
 
 def test_sup_sample_all_plus_ones():
-    w = SubspaceBasis.coordinate_span(8, 3)
-    assert sup_process_sample(w, np.ones(8)) == 1.0
+    assert sup_process_sample(OrthoRowMatrix(np.eye(3, 8)), np.ones(8)) == 1.0
     a = gen_random_ortho(3, 12, seed=1)
-    wb = SubspaceBasis.from_ortho_rows(a)
-    assert abs(sup_process_sample(wb, np.ones(12)) - 1.0) <= 1e-12
+    assert abs(sup_process_sample(a, np.ones(12)) - 1.0) <= 1e-12
 
 
 def test_sup_sample_sign_flip_symmetry():
     a = gen_random_ortho(4, 20, seed=2)
-    w = SubspaceBasis.from_ortho_rows(a)
     signs = rademacher(make_rng(3), 20)
-    assert sup_process_sample(w, signs) == sup_process_sample(w, -signs)
+    assert sup_process_sample(a, signs) == sup_process_sample(a, -signs)
 
 
 def test_sup_sample_basis_rotation_invariance():
     a = gen_random_ortho(4, 20, seed=5)
-    w = SubspaceBasis.from_ortho_rows(a)
     rot = gen_random_ortho(4, 4, seed=6).mat
-    w2 = SubspaceBasis(w.u @ rot)
+    a2 = OrthoRowMatrix(rot.T @ a.mat)  # another orthonormal basis of W
     signs = rademacher(make_rng(7), 20)
-    assert abs(sup_process_sample(w, signs) - sup_process_sample(w2, signs)) <= 1e-10
+    assert abs(sup_process_sample(a, signs) - sup_process_sample(a2, signs)) <= 1e-10
 
 
 def test_sup_sample_dominates_brute_force():
     # sampling oracle: max over a million random unit w in W of the weighted
     # square sum, which the spectral value must dominate within 1e-3
     a = gen_random_ortho(3, 16, seed=9)
-    w = SubspaceBasis.from_ortho_rows(a)
     signs = rademacher(make_rng(10), 16)
-    value = sup_process_sample(w, signs)
-    core = (w.u * signs[:, None]).T @ w.u
+    value = sup_process_sample(a, signs)
+    core = (a.mat * signs) @ a.mat.T
     y = np.random.default_rng(11).standard_normal((1_000_000, 3))
     y /= np.linalg.norm(y, axis=1, keepdims=True)
     sampled = float(np.max(np.abs(np.einsum("ij,jk,ik->i", y, core, y))))
@@ -190,15 +175,15 @@ def test_sup_sample_dominates_brute_force():
 
 
 def test_sup_sample_rejects_bad_signs():
-    w = SubspaceBasis.coordinate_span(4, 1)
+    a = OrthoRowMatrix(np.eye(1, 4))
     with pytest.raises(BadSignVector):
-        sup_process_sample(w, np.ones(3))
+        sup_process_sample(a, np.ones(3))
     with pytest.raises(BadSignVector):
-        sup_process_sample(w, np.array([1.0, -1.0, 0.5, 1.0]))
+        sup_process_sample(a, np.array([1.0, -1.0, 0.5, 1.0]))
 
 
 def test_estimate_coordinate_fixture_is_exact():
-    est = estimate_process(SubspaceBasis.coordinate_span(64, 1), trials=50, seed=0)
+    est = estimate_process(OrthoRowMatrix(np.eye(1, 64)), trials=50, seed=0)
     assert est.mean == 1.0
     assert est.std_error == 0.0
     assert est.q == 1.0
@@ -208,7 +193,6 @@ def test_estimate_one_dim_equals_direct_scalar_simulation():
     # same seeds, same sign draws, same aggregation: exact equality
     m, trials, seed = 32, 40, 13
     a = gen_random_ortho(1, m, seed=14)
-    w = SubspaceBasis.from_ortho_rows(a)
     v = a.mat[0]
     values = np.empty(trials)
     for trial in range(trials):
@@ -216,7 +200,7 @@ def test_estimate_one_dim_equals_direct_scalar_simulation():
         signs = rademacher(rng, m)
         values[trial] = abs(float((v * signs) @ v))
     direct_mean = math.fsum(values) / trials
-    est = estimate_process(w, trials, seed)
+    est = estimate_process(a, trials, seed)
     assert est.mean == direct_mean
 
 
@@ -234,7 +218,7 @@ def test_estimate_ones_span_matches_independent_simulation():
 def test_gaussian_sup_half_normal_fixture():
     trials = 10_000
     mean_inf, mean_w = gaussian_sup_estimates(
-        SubspaceBasis.coordinate_span(64, 1), None, trials, seed=2
+        OrthoRowMatrix(np.eye(1, 64)), None, trials, seed=2
     )
     assert mean_w is None
     se = HALF_NORMAL_STD / math.sqrt(trials)
@@ -242,13 +226,13 @@ def test_gaussian_sup_half_normal_fixture():
 
 
 def test_gaussian_sup_weighted_variants():
-    w = SubspaceBasis.coordinate_span(64, 1)
+    a = OrthoRowMatrix(np.eye(1, 64))
     trials = 10_000
-    _, zero = gaussian_sup_estimates(w, [0.0] * 64, trials, seed=3)
+    _, zero = gaussian_sup_estimates(a, [0.0] * 64, trials, seed=3)
     assert zero == 0.0
     weights = [0.0] * 64
     weights[0] = 1.0
-    _, weighted = gaussian_sup_estimates(w, weights, trials, seed=4)
+    _, weighted = gaussian_sup_estimates(a, weights, trials, seed=4)
     se = HALF_NORMAL_STD / math.sqrt(trials)
     assert abs(weighted - HALF_NORMAL_MEAN) <= 3.0 * se
 
@@ -256,39 +240,37 @@ def test_gaussian_sup_weighted_variants():
 def test_gaussian_sup_matches_per_trial_loop_on_coordinate_spans():
     rng = np.random.default_rng(17)
     for m, dims in ((64, 1), (64, 5), (8, 8)):
-        w = SubspaceBasis.coordinate_span(m, dims)
+        a = OrthoRowMatrix(np.eye(dims, m))
         for weights in (None, rng.standard_normal(m), [1.0] + [0.0] * (m - 1)):
             for trials, seed in zip(TRIAL_COUNTS + (300,), (0, 1, 2, 3, 4, 5, 6, 2**40, 7)):
-                got = gaussian_sup_estimates(w, weights, trials, seed)
-                assert got == _gaussian_sup_loop(w, weights, trials, seed)
+                got = gaussian_sup_estimates(a, weights, trials, seed)
+                assert got == _gaussian_sup_loop(a, weights, trials, seed)
 
 
 @pytest.mark.parametrize("trials", [t for t in TRIAL_COUNTS if t >= 2])
 def test_estimate_process_matches_per_trial_loop(trials):
-    for w, seed in ((SubspaceBasis.from_ortho_rows(gen_walsh(4, 16)), 3),
-                    (SubspaceBasis.from_ortho_rows(gen_random_ortho(3, 12, seed=4)), 2**40)):
-        assert estimate_process(w, trials, seed) == _estimate_process_loop(w, trials, seed)
+    for a, seed in ((gen_walsh(4, 16), 3), (gen_random_ortho(3, 12, seed=4), 2**40)):
+        assert estimate_process(a, trials, seed) == _estimate_process_loop(a, trials, seed)
 
 
 def test_gaussian_sup_matches_per_trial_loop_on_dense_bases():
     # the batched contraction sums in another order than BLAS matvecs
     rng = np.random.default_rng(18)
     for a in (gen_walsh(8, 128), gen_random_ortho(5, 40, seed=19)):
-        w = SubspaceBasis.from_ortho_rows(a)
         weights = rng.standard_normal(a.m)
         for trials, seed in ((1, 0), (33, 1), (700, 2)):
-            got = gaussian_sup_estimates(w, weights, trials, seed)
-            want = _gaussian_sup_loop(w, weights, trials, seed)
+            got = gaussian_sup_estimates(a, weights, trials, seed)
+            want = _gaussian_sup_loop(a, weights, trials, seed)
             assert abs(got[0] - want[0]) <= 1e-12
             assert abs(got[1] - want[1]) <= 1e-12
 
 
 def test_gaussian_sup_rejects_bad_weights():
-    w = SubspaceBasis.coordinate_span(8, 1)
+    a = OrthoRowMatrix(np.eye(1, 8))
     with pytest.raises(BadWeights):
-        gaussian_sup_estimates(w, [1.0] * 7, 10, seed=0)
+        gaussian_sup_estimates(a, [1.0] * 7, 10, seed=0)
     with pytest.raises(BadWeights):
-        gaussian_sup_estimates(w, [math.nan] * 8, 10, seed=0)
+        gaussian_sup_estimates(a, [math.nan] * 8, 10, seed=0)
 
 
 def test_quasimetric_basics():
@@ -435,4 +417,4 @@ def test_ball_convexity_reports_sampler_failure(monkeypatch):
 
 def test_estimate_process_needs_two_trials():
     with pytest.raises(ValueError):
-        estimate_process(SubspaceBasis.coordinate_span(4, 1), trials=1, seed=0)
+        estimate_process(OrthoRowMatrix(np.eye(1, 4)), trials=1, seed=0)

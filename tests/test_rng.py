@@ -1,7 +1,9 @@
 import inspect
 import itertools
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,10 +96,21 @@ def test_public_names_are_pinned():
         "MatrixFormatError", "NotOrthonormal", "NotPowerOfTwo", "OrthoRowMatrix",
         "OrthoSubselectError", "ProcessEstimate", "RankDeficient", "RetriesExhausted",
         "SamplingFailed", "SelectionTrace", "SizeOutOfRange", "SubsetIndex",
-        "SubspaceBasis", "cardinality_window", "certify", "check_ball_convexity",
+        "cardinality_window", "certify", "check_ball_convexity",
         "check_quasi_triangle", "child_seed", "coherence", "deviation",
         "estimate_process", "gaussian_sup_estimates", "gen_random_ortho", "gen_trig",
         "gen_walsh", "halve_step", "make_rng", "orthonormalize_rows",
         "proj_l1_l2_norm", "rademacher", "read_matrix_text", "select_subset",
         "sup_process_sample", "uniform_baseline", "write_matrix_text",
     ]
+
+
+def test_readme_library_sketch_runs():
+    # the README's python block and export count must track the API
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    public = [name for name, value in vars(ortho_subselect).items()
+              if not name.startswith("_") and not inspect.ismodule(value)]
+    assert f"The package exports {len(public)} names" in readme

@@ -25,7 +25,7 @@ from ortho_subselect import (
     uniform_baseline,
 )
 from ortho_subselect import selection
-from ortho_subselect.rng import _SEED_CHUNK
+from ortho_subselect.rng import _SEED_CHUNK, trial_rngs
 from ortho_subselect.selection import certificate_to_dict, trace_to_dict
 
 
@@ -71,11 +71,11 @@ def test_halve_step_zero_budget_exhausts():
 def test_halve_step_rejects_bad_budget_and_retries(monkeypatch, kwargs, error):
     draws = []
 
-    def counted(seed):
-        draws.append(seed)
-        return make_rng(seed)
+    def counted(*args):
+        draws.append(args)
+        return trial_rngs(*args)
 
-    monkeypatch.setattr(selection, "make_rng", counted)
+    monkeypatch.setattr(selection, "trial_rngs", counted)
     (_, value), = kwargs.items()
     args = {"epsilon_budget": 0.5, **kwargs}
     with pytest.raises(error, match=f"must be .*, got {value}"):
@@ -344,11 +344,11 @@ def test_halve_step_matches_per_draw_oracle(kind, budget):
 def test_halve_step_checks_parent_width_before_drawing(monkeypatch):
     draws = []
 
-    def counted(seed):
-        draws.append(seed)
-        return make_rng(seed)
+    def counted(*args):
+        draws.append(args)
+        return trial_rngs(*args)
 
-    monkeypatch.setattr(selection, "make_rng", counted)
+    monkeypatch.setattr(selection, "trial_rngs", counted)
     a = gen_walsh(4, 16)
     with pytest.raises(IndexOutOfRange, match="over 1..32"):
         halve_step(a, SubsetIndex.full(32), 0.5, seed=0)
