@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from ortho_subselect import (
     BadSignVector,
     BadWeights,
+    NotOrthonormal,
     OrthoRowMatrix,
     ProcessEstimate,
     check_ball_convexity,
@@ -106,6 +107,17 @@ def _ball_convexity_loop(samples, dim, rho, seed):
             worst = max(worst, _quasi_d(lam @ hull, center) / rho)
         done += take
     return worst
+
+
+def test_basis_validation():
+    # The harnesses take the OrthoRowMatrix spanning W, which refuses a
+    # non-orthonormal frame and the transposed (M x n column) layout.
+    with pytest.raises(NotOrthonormal):
+        OrthoRowMatrix(np.ones((2, 4)))
+    with pytest.raises(NotOrthonormal):
+        OrthoRowMatrix(np.ones((4, 2)))
+    with pytest.raises(NotOrthonormal):
+        OrthoRowMatrix(np.eye(4, 2))
 
 
 def test_q_on_coordinate_span():
