@@ -8,15 +8,18 @@ sandwich bound, factor-4 triangle inequality and ball convexity.
 
 Estimator sums are exactly rounded (``math.fsum``), independent of order.
 Draws keep their documented order; only the arithmetic on them is batched.
-``gaussian_sup_estimates`` and ``check_quasi_triangle`` reduce in slices of
-at most ``_BLOCK_ENTRIES`` entries per array (or one row, if longer), and
-the per-trial generators come from ``rng.trial_rngs``, which seeds at most
-``rng._SEED_CHUNK`` trials at a time, so temporaries stay bounded whatever
-the trial count.
+Every sampler draws and reduces in chunks of at most ``_CHUNK_ENTRIES``
+drawn entries (or one row or hull, if larger), so its memory does not grow
+with the sample or trial count. Per-trial generators come from
+``rng.trial_rngs``, which seeds at most ``rng._SEED_CHUNK`` trials at a time.
+The triangle and sandwich checks keep the order of a single bulk draw of
+consecutive blocks by saving a copy of the generator at the start of each
+block and skip-drawing it (``_normal_blocks``).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -26,9 +29,9 @@ from .errors import BadSignVector, BadWeights, SamplingFailed
 from .linalg import OrthoRowMatrix
 from .rng import make_rng, rademacher, trial_rngs
 
-# Entries per batch of Gaussian draws: keeps a batch's arrays at 32 KiB
-# each, whatever the trial count.
-_BLOCK_ENTRIES = 1 << 12
+# Entries per chunk of draws in every sampler: keeps a chunk's arrays at
+# 32 KiB each, whatever the sample or trial count.
+_CHUNK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ def gaussian_sup_estimates(
     u = np.ascontiguousarray(a.mat.T)
     inf_vals = np.empty(trials)
     wvals = np.empty(trials) if wt is not None else None
-    block = max(1, _BLOCK_ENTRIES // a.m)
+    block = max(1, _CHUNK_ENTRIES // a.m)
     g = np.empty((min(block, trials), a.m))
     rngs = trial_rngs(seed, 0, trials)
     for start in range(0, trials, block):
@@ -142,19 +145,61 @@ def _d_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((x - y) ** 2 * (x * x + y * y), axis=-1))
 
 
+def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """Largest num / den over the entries with den > 0 (0 if there are none)."""
+    live = den > 0.0
+    return float(np.max(num[live] / den[live], initial=0.0))
+
+
+def _triangle_ratio(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """Largest d(w, v) / (d(w, u) + d(u, v)) over rows with a positive sum."""
+    return _max_ratio(_d_batch(w, v), _d_batch(w, u) + _d_batch(u, v))
+
+
+def _normal_blocks(rng: np.random.Generator, blocks: int, samples: int, dim: int):
+    """Yield rng.standard_normal((blocks, samples, dim)) as row chunks.
+
+    Each chunk is a ``(blocks, rows, dim)`` view of one reused buffer, with
+    rows at most ``max(1, _CHUNK_ENTRIES // dim)``; consume it before the
+    next. The values and the final state of ``rng`` equal one bulk draw:
+    a copy of the generator is saved at the start of every block but the
+    last, and the block is then skip-drawn chunk by chunk into a scratch
+    row buffer. Each chunk then draws its rows of every block from that
+    block's own generator, the last from ``rng`` itself. Drawing into
+    consecutive ``out=`` slices consumes the stream exactly as one call
+    does, so the cost is the skipped draws: (2 * blocks - 1) / blocks of
+    the bulk draw's normals.
+    """
+    rows = max(1, _CHUNK_ENTRIES // dim)
+    buf = np.empty((blocks, min(rows, samples), dim))
+    starts = []
+    for _ in range(blocks - 1):
+        starts.append(copy.deepcopy(rng))
+        for start in range(0, samples, rows):
+            rng.standard_normal(out=buf[0, : min(rows, samples - start)])
+    gens = starts + [rng]
+    for start in range(0, samples, rows):
+        chunk = buf[:, : min(rows, samples - start)]
+        for block, gen in zip(chunk, gens):
+            gen.standard_normal(out=block)
+        yield chunk
+
+
 def check_sandwich(samples: int, dim: int, seed: int) -> float:
     """Worst dtilde(w, v) / (sqrt(2) d(w, v)) over sampled Gaussian pairs
     with d > 0 (0 if there are none), where dtilde(w, v) =
-    (sum_i (w_i^2 - v_i^2)^2)^(1/2); the sandwich bound keeps it <= 1."""
+    (sum_i (w_i^2 - v_i^2)^2)^(1/2); the sandwich bound keeps it <= 1.
+
+    The pairs are the rows of x = standard_normal((samples, dim)) and of y,
+    drawn after x; ``_normal_blocks`` streams them in chunks.
+    """
     if samples < 0 or dim < 1:
         raise ValueError("need samples >= 0 and dim >= 1")
-    rng = make_rng(seed)
-    x = rng.standard_normal((samples, dim))
-    y = rng.standard_normal((samples, dim))
-    d = _d_batch(x, y)
-    dtilde = np.sqrt(np.sum((x * x - y * y) ** 2, axis=-1))
-    live = d > 0.0
-    return float(np.max(dtilde[live] / (math.sqrt(2.0) * d[live]), initial=0.0))
+    worst = 0.0
+    for x, y in _normal_blocks(make_rng(seed), 2, samples, dim):
+        dtilde = np.sqrt(np.sum((x * x - y * y) ** 2, axis=-1))
+        worst = max(worst, _max_ratio(dtilde, math.sqrt(2.0) * _d_batch(x, y)))
+    return worst
 
 
 def check_quasi_triangle(samples: int, dim: int, seed: int) -> float:
@@ -164,25 +209,21 @@ def check_quasi_triangle(samples: int, dim: int, seed: int) -> float:
     Samples Gaussian triples plus a 1% batch of adversarial near-collinear
     triples (w, w + delta, w + 2 delta) with large coordinates and tiny
     increments. The generalized triangle inequality bounds the ratio by 4.
-    All triples are drawn up front, in that order; the Gaussian ones are
-    reduced in row slices, so the temporaries stay small.
+    The stream is that of the bulk draws standard_normal((3, samples, dim))
+    for (w, u, v), then base and delta of shape (samples // 100 or 1, dim);
+    ``_normal_blocks`` streams both in chunks, so memory stays bounded
+    whatever ``samples`` is.
     """
     if samples < 1 or dim < 1:
         raise ValueError("need samples >= 1 and dim >= 1")
     rng = make_rng(seed)
-    gauss = rng.standard_normal((3, samples, dim))
-    n_adv = max(1, samples // 100)
-    base = 10.0 * rng.standard_normal((n_adv, dim))
-    delta = 1e-6 * rng.standard_normal((n_adv, dim))
-    rows = max(1, _BLOCK_ENTRIES // dim)
-    batches = [gauss[:, start : start + rows] for start in range(0, samples, rows)]
-    batches.append((base, base + delta, base + 2.0 * delta))
     worst = 0.0
-    for w, u, v in batches:
-        num = _d_batch(w, v)
-        den = _d_batch(w, u) + _d_batch(u, v)
-        live = den > 0.0
-        worst = max(worst, float(np.max(num[live] / den[live], initial=0.0)))
+    for w, u, v in _normal_blocks(rng, 3, samples, dim):
+        worst = max(worst, _triangle_ratio(w, u, v))
+    n_adv = max(1, samples // 100)
+    for base, delta in _normal_blocks(rng, 2, n_adv, dim):
+        w, delta = 10.0 * base, 1e-6 * delta
+        worst = max(worst, _triangle_ratio(w, w + delta, w + 2.0 * delta))
     return worst
 
 
@@ -226,33 +267,39 @@ def check_ball_convexity(samples: int, dim: int, rho: float, seed: int) -> float
     combos_per_hull = 8
     hull_size = 6
     hulls = -(-samples // combos_per_hull)
-    # No draw depends on a computed distance, so every draw is made first,
-    # hull by hull in the sampler's order: center, (offset, fraction) per
-    # hull point, then the combination weights.
-    centers = np.empty((hulls, dim))
-    deltas = np.empty((hulls, hull_size, dim))
-    fracs = np.empty((hulls, hull_size))
-    lams = np.empty((samples, hull_size))
-    for h in range(hulls):
-        rng.standard_normal(out=centers[h])
-        for p in range(hull_size):
-            rng.standard_normal(out=deltas[h, p])
-            fracs[h, p] = rng.uniform(0.05, 1.0)
-        lam = lams[h * combos_per_hull : (h + 1) * combos_per_hull]
-        lam[:] = rng.dirichlet(np.ones(hull_size), size=len(lam))
-    points, failed = _ball_points(
-        np.repeat(centers, hull_size, axis=0),
-        deltas.reshape(-1, dim),
-        fracs.reshape(-1),
-        rho,
-    )
-    if failed.size:
-        center = centers[failed[0] // hull_size]
-        raise SamplingFailed(
-            f"could not sample inside a radius-{rho} ball around "
-            f"a point with max coordinate {np.max(np.abs(center)):.3g}"
+    group = max(1, _CHUNK_ENTRIES // (hull_size * dim))
+    worst = 0.0
+    for first in range(0, hulls, group):
+        count = min(group, hulls - first)
+        combos = min(count * combos_per_hull, samples - first * combos_per_hull)
+        # No draw depends on a computed distance, so a group's draws are made
+        # first, hull by hull in the sampler's order: center, (offset,
+        # fraction) per hull point, then the combination weights.
+        centers = np.empty((count, dim))
+        deltas = np.empty((count, hull_size, dim))
+        fracs = np.empty((count, hull_size))
+        lams = np.empty((combos, hull_size))
+        for h in range(count):
+            rng.standard_normal(out=centers[h])
+            for p in range(hull_size):
+                rng.standard_normal(out=deltas[h, p])
+                fracs[h, p] = rng.uniform(0.05, 1.0)
+            lam = lams[h * combos_per_hull : (h + 1) * combos_per_hull]
+            lam[:] = rng.dirichlet(np.ones(hull_size), size=len(lam))
+        points, failed = _ball_points(
+            np.repeat(centers, hull_size, axis=0),
+            deltas.reshape(-1, dim),
+            fracs.reshape(-1),
+            rho,
         )
-    hull_of = np.arange(samples) // combos_per_hull
-    # one vector-matrix product per combination, as lam @ hull evaluates it
-    v = np.matmul(lams[:, None, :], points.reshape(hulls, hull_size, dim)[hull_of])
-    return float(np.max(_d_batch(v[:, 0], centers[hull_of]) / rho, initial=0.0))
+        if failed.size:
+            center = centers[failed[0] // hull_size]
+            raise SamplingFailed(
+                f"could not sample inside a radius-{rho} ball around "
+                f"a point with max coordinate {np.max(np.abs(center)):.3g}"
+            )
+        hull_of = np.arange(combos) // combos_per_hull
+        # one vector-matrix product per combination, as lam @ hull evaluates it
+        v = np.matmul(lams[:, None, :], points.reshape(count, hull_size, dim)[hull_of])
+        worst = max(worst, float(np.max(_d_batch(v[:, 0], centers[hull_of]) / rho)))
+    return worst

@@ -13,6 +13,7 @@ from ortho_subselect import (
     NotOrthonormal,
     OrthoRowMatrix,
     ProcessEstimate,
+    SamplingFailed,
     check_ball_convexity,
     check_quasi_triangle,
     child_seed,
@@ -25,7 +26,8 @@ from ortho_subselect import (
     rademacher,
     sup_process_sample,
 )
-from ortho_subselect.processes import _d_batch, check_sandwich
+from ortho_subselect import processes as proc
+from ortho_subselect.processes import _CHUNK_ENTRIES, _d_batch, check_sandwich
 from ortho_subselect.rng import _SEED_CHUNK
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
@@ -67,6 +69,16 @@ def _estimate_process_loop(a, trials, seed):
 
 # straddle the 64-row Gaussian blocks at M = 64 and the seeding chunks
 TRIAL_COUNTS = (1, 2, 63, 64, 65, _SEED_CHUNK - 1, _SEED_CHUNK, _SEED_CHUNK + 1)
+
+
+# the smallest dim whose chunks hold one row each
+WIDE_DIM = _CHUNK_ENTRIES + 1
+
+
+def _chunk_edges(dim, least=1):
+    """Sample counts around one and two chunk heights at this dim."""
+    rows = max(1, _CHUNK_ENTRIES // dim)
+    return tuple(n for n in (rows - 1, rows, rows + 1, 2 * rows + 1) if n >= least)
 
 
 def _quasi_d(x, y) -> float:
@@ -307,7 +319,10 @@ def test_quasimetric_sandwich_property(x, y):
 
 def test_check_sandwich_matches_pairwise_loop():
     # reference: the scalar per-pair loop over the same draws
-    for samples, dim, seed in ((1, 1, 0), (500, 2, 3), (200, 32, 4)):
+    cases = [(1, 1, 0), (500, 2, 3), (200, 32, 4)]
+    for dim in (1, 2, 32, 33, WIDE_DIM):
+        cases += [(samples, dim, 5) for samples in _chunk_edges(dim, least=0)]
+    for samples, dim, seed in cases:
         rng = make_rng(seed)
         x = rng.standard_normal((samples, dim))
         y = rng.standard_normal((samples, dim))
@@ -357,17 +372,45 @@ def _worst_triangle_loop(samples, dim, seed):
     return worst
 
 
-@pytest.mark.parametrize("dim", [1, 2, 8, 32, 33])
+@pytest.mark.parametrize("dim", [1, 2, 8, 32, 33, WIDE_DIM])
 def test_quasi_triangle_matches_whole_array_loop(dim):
     # 128 and 2048 rows are the slice heights at dim 32 and dim 2; 100 is
     # where the adversarial batch grows past one triple
-    for samples in (1, 99, 100, 127, 128, 129, 2048, 2049, 5000):
+    counts = (1, 99, 100, 127, 128, 129, 2048, 2049, 5000) if dim < WIDE_DIM else ()
+    for samples in counts + _chunk_edges(dim):
         for seed in (0, 11):
             want = _worst_triangle_loop(samples, dim, seed)
             assert check_quasi_triangle(samples, dim, seed) == want
     for samples, d in ((0, dim), (1, 0), (-1, dim)):
         with pytest.raises(ValueError, match="samples >= 1 and dim >= 1"):
             check_quasi_triangle(samples, d, seed=0)
+
+
+@pytest.mark.parametrize("samples, dim", [(99, 2), (13_000, 32), (250, WIDE_DIM)])
+def test_quasi_triangle_draws_the_whole_array_stream(monkeypatch, samples, dim):
+    # Every (w, u, v) the check reduces, the adversarial triples included,
+    # is the whole-array draw's, bit for bit. The ratio oracle cannot see the
+    # adversarial batch: its ratio (~1 + 1e-13) never beats the Gaussian max.
+    # At (13_000, 32) and (250, WIDE_DIM) that batch spans several chunks.
+    calls = []
+
+    def record(x, y):
+        calls.append((x.copy(), y.copy()))
+        return _d_batch(x, y)
+
+    monkeypatch.setattr(proc, "_d_batch", record)
+    check_quasi_triangle(samples, dim, seed=12)
+    # each chunk makes d(w, v), d(w, u) and d(u, v), in that order
+    w = np.concatenate([x for x, _ in calls[0::3]])
+    v = np.concatenate([y for _, y in calls[0::3]])
+    u = np.concatenate([y for _, y in calls[1::3]])
+    assert np.concatenate([x for x, _ in calls[1::3]]).tobytes() == w.tobytes()
+    assert np.concatenate([x for x, _ in calls[2::3]]).tobytes() == u.tobytes()
+    assert np.concatenate([y for _, y in calls[2::3]]).tobytes() == v.tobytes()
+    gauss, adversarial = _triangle_batches(make_rng(12), samples, dim)
+    for got, g, adv in zip((w, u, v), gauss, adversarial):
+        assert len(adv) == max(1, samples // 100)
+        assert got.tobytes() == np.concatenate([g, adv]).tobytes()
 
 
 def test_quasi_triangle_memory_stays_near_the_drawn_triples():
@@ -380,6 +423,29 @@ def test_quasi_triangle_memory_stays_near_the_drawn_triples():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * triples
+
+
+@pytest.mark.parametrize(
+    "sampler, counts",
+    [
+        (lambda samples: check_quasi_triangle(samples, 32, seed=5), (20_000, 200_000)),
+        (lambda samples: check_sandwich(samples, 32, seed=5), (20_000, 200_000)),
+        # tracemalloc slows the per-hull draw calls about 15x, so this one
+        # runs 10x fewer samples; holding all 20,000 at once peaked at 43 MiB
+        (lambda samples: check_ball_convexity(samples, 32, rho=0.3, seed=5), (2_000, 20_000)),
+    ],
+    ids=["triangle", "sandwich", "convexity"],
+)
+def test_sampler_memory_does_not_grow_with_samples(sampler, counts):
+    # a 10x larger sample stays under the same cap: the draws are streamed
+    for samples in counts:
+        tracemalloc.start()
+        try:
+            sampler(samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (samples, peak)
 
 
 def test_ball_convexity_bounded():
@@ -397,10 +463,82 @@ def test_ball_convexity_matches_per_combination_loop(dim, rho):
         assert check_ball_convexity(samples, dim, rho, seed) == want
 
 
-def test_ball_convexity_reports_sampler_failure(monkeypatch):
-    from ortho_subselect import SamplingFailed
-    from ortho_subselect import processes as proc
+def _ball_convexity_whole(samples: int, dim: int, rho: float, seed: int) -> float:
+    """Reference: every hull's draws made first, then every hull sampled and
+    every combination evaluated in one array each."""
+    rng = make_rng(seed)
+    combos_per_hull = 8
+    hull_size = 6
+    hulls = -(-samples // combos_per_hull)
+    centers = np.empty((hulls, dim))
+    deltas = np.empty((hulls, hull_size, dim))
+    fracs = np.empty((hulls, hull_size))
+    lams = np.empty((samples, hull_size))
+    for h in range(hulls):
+        rng.standard_normal(out=centers[h])
+        for p in range(hull_size):
+            rng.standard_normal(out=deltas[h, p])
+            fracs[h, p] = rng.uniform(0.05, 1.0)
+        lam = lams[h * combos_per_hull : (h + 1) * combos_per_hull]
+        lam[:] = rng.dirichlet(np.ones(hull_size), size=len(lam))
+    points, failed = proc._ball_points(
+        np.repeat(centers, hull_size, axis=0),
+        deltas.reshape(-1, dim),
+        fracs.reshape(-1),
+        rho,
+    )
+    if failed.size:
+        center = centers[failed[0] // hull_size]
+        raise SamplingFailed(
+            f"could not sample inside a radius-{rho} ball around "
+            f"a point with max coordinate {np.max(np.abs(center)):.3g}"
+        )
+    hull_of = np.arange(samples) // combos_per_hull
+    v = np.matmul(lams[:, None, :], points.reshape(hulls, hull_size, dim)[hull_of])
+    return float(np.max(_d_batch(v[:, 0], centers[hull_of]) / rho, initial=0.0))
 
+
+def _hull_group_edges(dim):
+    """Sample counts around one and two hull groups at this dim."""
+    combos = 8 * max(1, _CHUNK_ENTRIES // (6 * dim))
+    return (combos - 1, combos, combos + 1, 2 * combos + 1)
+
+
+@pytest.mark.parametrize("dim", [1, 6, 32, WIDE_DIM])
+def test_ball_convexity_matches_whole_array_sampler(dim):
+    # 1e-300 is below what any hull point's offset can resolve: every point
+    # collapses onto its center, and the ratio is rounding noise over rho
+    for samples in _hull_group_edges(dim):
+        for rho in (0.05, 0.3, 1e-300):
+            want = _ball_convexity_whole(samples, dim, rho, seed=samples)
+            assert check_ball_convexity(samples, dim, rho, seed=samples) == want
+
+
+def test_ball_convexity_failure_matches_whole_array_sampler(monkeypatch):
+    # Points fail where their center has a coordinate beyond 3.3; at dim 32
+    # and seed 5 the first such hull lies past the first hull group, so the
+    # grouped sampler must run on to it and name the same center.
+    real = proc._ball_points
+    calls = []
+
+    def far_centers_fail(centers, deltas, fracs, rho):
+        calls.append(len(centers))
+        points, failed = real(centers, deltas, fracs, rho)
+        far = np.flatnonzero(np.max(np.abs(centers), axis=1) > 3.3)
+        return points, np.union1d(failed, far)
+
+    monkeypatch.setattr(proc, "_ball_points", far_centers_fail)
+    samples = _hull_group_edges(32)[-1]
+    with pytest.raises(SamplingFailed) as want:
+        _ball_convexity_whole(samples, 32, 0.3, seed=5)
+    calls.clear()
+    with pytest.raises(SamplingFailed) as got:
+        check_ball_convexity(samples, 32, 0.3, seed=5)
+    assert str(got.value) == str(want.value)
+    assert len(calls) > 1
+
+
+def test_ball_convexity_reports_sampler_failure(monkeypatch):
     def message(center):
         return (
             "could not sample inside a radius-0.1 ball around a point with "
