@@ -71,7 +71,7 @@ def _estimate_process_loop(a, trials, seed):
 TRIAL_COUNTS = (1, 2, 63, 64, 65, _SEED_CHUNK - 1, _SEED_CHUNK, _SEED_CHUNK + 1)
 
 
-# the smallest dim whose chunks hold one row each
+# wider than a whole chunk, so each chunk holds a single row
 WIDE_DIM = _CHUNK_ENTRIES + 1
 
 
