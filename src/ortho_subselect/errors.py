@@ -3,7 +3,7 @@ ValueError), so callers can catch either the package root or stdlib type."""
 
 
 class OrthoSubselectError(ValueError):
-    """Base class for every error raised by this package."""
+    """Base class for the package's data and domain errors."""
 
 
 class RankDeficient(OrthoSubselectError):

@@ -39,13 +39,13 @@ def gen_walsh(n: int, m: int) -> OrthoRowMatrix:
     if m < 1 or m & (m - 1):
         raise NotPowerOfTwo(f"M must be a power of 2, got {m}")
     _check_shape(n, m)
-    i = np.arange(n, dtype=np.int64)[:, None]
-    j = np.arange(m, dtype=np.int64)[None, :]
-    x = i & j
+    j = np.arange(m, dtype=np.int64)[:, None]
+    i = np.arange(n, dtype=np.int64)[None, :]
+    x = j & i  # M x n, so its transpose is already column-major
     for shift in (32, 16, 8, 4, 2, 1):  # parity of the popcount of i & j
         x = x ^ (x >> shift)
     signs = 1.0 - 2.0 * (x & 1)
-    return OrthoRowMatrix(signs / math.sqrt(m))
+    return OrthoRowMatrix(signs.T / math.sqrt(m))
 
 
 def gen_trig(n: int, m: int) -> OrthoRowMatrix:

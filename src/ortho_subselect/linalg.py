@@ -3,8 +3,8 @@
 Row orthonormalization by QR, the isometry deviation functional over a
 column subset (extreme eigenvalues of the rescaled subset Gram matrix, via
 LAPACK), and the on-disk matrix text format. Matrices are float64 numpy
-arrays in row-major order; every function here is pure and never mutates
-its arguments.
+arrays, stored column-major in ``OrthoRowMatrix``; every function here is
+pure and never mutates its arguments.
 
 Public functions check their inputs; orthonormality and rank use the fixed
 tolerance ``ORTHO_TOL``. ``_gram_extremes``, the one home of the deviation
@@ -45,13 +45,13 @@ class OrthoRowMatrix:
 
     Inputs that miss the tolerance are rejected, never silently
     re-orthonormalized; run :func:`orthonormalize_rows` first if that is
-    what you want.
+    what you want. ``mat`` is stored column-major (copied if the input is not).
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.mat)
+        a = np.asfortranarray(as_matrix(self.mat))
         n, m = a.shape
         if n > m:
             raise NotOrthonormal(f"need n <= M, got {n}x{m}")

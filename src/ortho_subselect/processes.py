@@ -64,7 +64,7 @@ def sup_process_sample(a: OrthoRowMatrix, signs) -> float:
         raise BadSignVector(f"need {a.m} signs, got shape {s.shape}")
     if not np.all(np.abs(s) == 1.0):
         raise BadSignVector("signs must be exactly +-1")
-    return _sign_sup(np.ascontiguousarray(a.mat.T), s)
+    return _sign_sup(a.mat.T, s)
 
 
 def _sign_sup(u: np.ndarray, s: np.ndarray) -> float:
@@ -84,10 +84,8 @@ def estimate_process(a: OrthoRowMatrix, trials: int, seed: int) -> ProcessEstima
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
 
-    # rademacher signs are +-1, so the unchecked supremum applies; u is a
-    # C-ordered copy because the layout of A^T sets the rounding of its sums
-    u = np.ascontiguousarray(a.mat.T)
-    values = np.asarray([_sign_sup(u, rademacher(rng, a.m))
+    # rademacher signs are +-1, so the unchecked supremum applies
+    values = np.asarray([_sign_sup(a.mat.T, rademacher(rng, a.m))
                          for rng in trial_rngs(seed, 0, trials)])
     mean = math.fsum(values) / trials
     var = math.fsum((values - mean) ** 2) / (trials - 1)
@@ -117,7 +115,7 @@ def gaussian_sup_estimates(
             raise BadWeights(f"need {a.m} weights, got shape {wt.shape}")
         if not np.all(np.isfinite(wt)):
             raise BadWeights("weights must be finite")
-    u = np.ascontiguousarray(a.mat.T)
+    u = a.mat.T
     inf_vals = np.empty(trials)
     wvals = np.empty(trials) if wt is not None else None
     block = max(1, _CHUNK_ENTRIES // a.m)
@@ -227,7 +225,7 @@ def check_quasi_triangle(samples: int, dim: int, seed: int) -> float:
     return worst
 
 
-def _ball_points(centers, deltas, fracs, rho: float, max_shrink: int = 80):
+def _ball_points(centers, deltas, fracs, rho: float):
     """Points u_i with d(u_i, centers_i) <= rho, by shrinking Gaussian offsets.
 
     Row i proposes centers_i + alpha * deltas_i, starting at alpha = 1, aims
@@ -235,12 +233,12 @@ def _ball_points(centers, deltas, fracs, rho: float, max_shrink: int = 80):
     until the proposal lands inside; d(center + a*delta, center) -> 0 as
     a -> 0, so termination only needs enough shrink steps. Returns the
     points and the ascending indices of the rows that did not land within
-    ``max_shrink`` steps.
+    80 steps.
     """
     points = np.empty_like(centers)
     alpha = np.ones(len(centers))
     live = np.arange(len(centers))
-    for _ in range(max_shrink):
+    for _ in range(80):
         if live.size == 0:
             break
         candidate = centers[live] + alpha[live, None] * deltas[live]

@@ -100,7 +100,7 @@ def halve_step(
     for retry, rng in enumerate(trial_rngs(seed, 0, max_retries)):
         keep = rng.integers(0, 2, size=p).astype(bool)  # sign +1 <=> keep
         size = int(keep.sum())
-        if size < 1 or size < lo or size > hi:
+        if size < lo or size > hi:
             continue
         child = cols[keep]
         dev = _gram_extremes(a, child)[2]

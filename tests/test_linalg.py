@@ -131,6 +131,37 @@ def test_ortho_row_matrix_rejects_bad_input():
         OrthoRowMatrix(np.ones((3, 2)))  # n > M
 
 
+def test_ortho_row_matrix_stores_column_major(monkeypatch, tmp_path):
+    # every reader takes A by columns, so the constructor alone sets the layout
+    x = np.asfortranarray(gen_trig(5, 33).mat)
+    for given in (np.ascontiguousarray(x), x):
+        a = OrthoRowMatrix(given)
+        assert a.mat.flags.f_contiguous and np.array_equal(a.mat, x)
+    assert np.shares_memory(OrthoRowMatrix(x).mat, x)
+    path = tmp_path / "a.txt"
+    write_matrix_text(path, x)
+    assert OrthoRowMatrix(read_matrix_text(path)).mat.flags.f_contiguous
+
+    # the generators hand the constructor a column-major array: no copy
+    built = []
+    post_init = OrthoRowMatrix.__post_init__
+
+    def recording(self):
+        given = self.mat
+        post_init(self)
+        built.append((given, self.mat))
+
+    monkeypatch.setattr(OrthoRowMatrix, "__post_init__", recording)
+    made = [
+        generators.gen_walsh(4, 32),
+        generators.gen_trig(5, 33),
+        generators.gen_random_ortho(6, 40, seed=1),
+    ]
+    assert all(a.mat.flags.f_contiguous for a in made)
+    assert len(built) == len(made)
+    assert all(np.shares_memory(given, stored) for given, stored in built)
+
+
 def test_certify_recovers_planted_spectrum():
     # A = [Q diag(sqrt c) | Q diag(sqrt(1 - c))] has orthonormal rows, and its
     # first half has the scaled Gram 2 Q diag(c) Q^T: extremes 2 min c, 2 max c

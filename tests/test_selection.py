@@ -355,6 +355,56 @@ def test_halve_step_checks_parent_width_before_drawing(monkeypatch):
     assert draws == []
 
 
+@pytest.fixture(scope="module")
+def trig_32x16384() -> OrthoRowMatrix:
+    return gen_trig(32, 16384)
+
+
+@pytest.mark.parametrize(
+    "seed, final_size, retries, child_sizes",
+    [
+        (1, 497, [0, 0, 0, 2, 12], [8185, 4083, 2029, 1004, 497]),
+        (2, 501, [1, 0, 4, 1, 17], [8179, 4075, 2026, 1008, 501]),
+        (3, 490, [3, 0, 0, 0, 22], [8164, 4072, 2034, 1009, 490]),
+        (4, 491, [1, 0, 3, 1, 16], [8177, 4088, 2026, 1002, 491]),
+    ],
+)
+def test_select_subset_pins_trig_trajectories(
+    trig_32x16384, seed, final_size, retries, child_sizes
+):
+    # every draw these runs decide has a deviation at least 1.7e-3 from
+    # epsilon, so last-bit differences between BLAS builds cannot flip one
+    cert, trace = select_subset(trig_32x16384, 0.5, seed)
+    assert len(cert.subset) == final_size
+    assert [s.retries_used for s in trace.steps] == retries
+    assert [s.child_size for s in trace.steps] == child_sizes
+    assert cert.epsilon_achieved <= 0.5
+
+
+def test_selection_grams_match_row_major_layout(monkeypatch, trig_32x16384):
+    # deviation on the column-major A equals eigvalsh of the Gram gathered
+    # from a row-major copy, bit for bit, for every subset a selection tries
+    seen = []
+    gram_extremes = selection._gram_extremes
+
+    def recording(a, cols):
+        seen.append((a, cols.copy()))
+        return gram_extremes(a, cols)
+
+    monkeypatch.setattr(selection, "_gram_extremes", recording)
+    for a in (gen_walsh(16, 256), gen_trig(16, 256), gen_random_ortho(16, 256, 3)):
+        for seed in range(5):
+            select_subset(a, 0.5, seed)
+    select_subset(trig_32x16384, 0.5, 1)
+    monkeypatch.undo()
+    assert len(seen) >= 200
+    for a, cols in seen:
+        x = np.ascontiguousarray(a.mat)[:, cols]
+        w = np.linalg.eigvalsh((a.m / len(cols)) * (x @ x.T))
+        dev = max(float(w[-1]) - 1.0, 1.0 - float(w[0]))
+        assert deviation(a, SubsetIndex(cols + 1, a.m)) == dev
+
+
 @pytest.mark.parametrize("gen", [gen_walsh, gen_trig], ids=["walsh", "trig"])
 def test_study_grams_are_exactly_symmetric(monkeypatch, gen):
     # every Gram a study evaluates is exactly symmetric, and deviation equals
