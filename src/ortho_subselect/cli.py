@@ -95,29 +95,30 @@ def _generate(kind: str, n: int, m: int, seed: int) -> OrthoRowMatrix:
 
 def run_study(cfg: StudyConfig) -> list[StudyRow]:
     """One selection run per (n, trial), in (n, trial) order."""
-    matrices = {
-        n: _generate(cfg.kind, n, cfg.m_factor * n, child_seed(cfg.seed, "matrix", n))
+    # every matrix is built before the first selection, which keeps the
+    # process's peak memory below that of building each one in the loop
+    matrices = [
+        _generate(cfg.kind, n, cfg.m_factor * n, child_seed(cfg.seed, "matrix", n))
         for n in cfg.n_list
-    }
-
-    def work(n: int, trial: int) -> StudyRow:
-        a = matrices[n]
-        cert, trace = select_subset(
-            a, cfg.epsilon, child_seed(cfg.seed, n, trial), kappa=cfg.kappa
-        )
-        size = len(cert.subset)
-        return StudyRow(
-            n=n,
-            m=a.m,
-            trial=trial,
-            final_size=size,
-            epsilon_achieved=cert.epsilon_achieved,
-            steps=len(trace.steps),
-            total_retries=sum(s.retries_used for s in trace.steps),
-            ratio=size / (n * math.log(n)),
-        )
-
-    return [work(n, t) for n in cfg.n_list for t in range(cfg.trials)]
+    ]
+    rows = []
+    for n, a in zip(cfg.n_list, matrices):
+        for trial in range(cfg.trials):
+            cert, trace = select_subset(
+                a, cfg.epsilon, child_seed(cfg.seed, n, trial), kappa=cfg.kappa
+            )
+            size = len(cert.subset)
+            rows.append(StudyRow(
+                n=n,
+                m=a.m,
+                trial=trial,
+                final_size=size,
+                epsilon_achieved=cert.epsilon_achieved,
+                steps=len(trace.steps),
+                total_retries=sum(s.retries_used for s in trace.steps),
+                ratio=size / (n * math.log(n)),
+            ))
+    return rows
 
 
 def study_summary(cfg: StudyConfig, rows: list[StudyRow]) -> dict:
@@ -255,14 +256,14 @@ def cmd_study(args) -> int:
     return 0
 
 
-def _property_line(check: str, samples: int, max_ratio: float, threshold: float,
-                   passed: bool) -> dict:
+def _property_line(check: str, samples: int, max_ratio: float, threshold: float) -> dict:
+    """A property line passes iff ``max_ratio <= threshold``."""
     return {
         "check": check,
         "samples": samples,
         "max_ratio": max_ratio,
         "threshold": threshold,
-        "pass": passed,
+        "pass": max_ratio <= threshold,
     }
 
 
@@ -284,13 +285,7 @@ def _verify_process(trials: int, seed: int) -> list[dict]:
     est = estimate_process(fixture, max(2, min(trials, 64)), child_seed(seed, "fixture"))
     out.append(_estimator_line("process_fixture_span_e1", est))
     out.append(
-        _property_line(
-            "process_fixture_exact_mean",
-            est.trials,
-            abs(est.mean - 1.0),
-            0.0,
-            est.mean == 1.0,
-        )
+        _property_line("process_fixture_exact_mean", est.trials, abs(est.mean - 1.0), 0.0)
     )
     ratios = []
     for n, m in ((8, 128), (16, 256), (32, 512)):
@@ -298,11 +293,7 @@ def _verify_process(trials: int, seed: int) -> list[dict]:
         ratios.append(est.bound_ratio)
         out.append(_estimator_line(f"process_walsh_n{n}_M{m}", est))
     spread = max(ratios) / min(ratios)
-    out.append(
-        _property_line(
-            "process_bound_ratio_stability", trials, spread, 2.0, spread < 2.0
-        )
-    )
+    out.append(_property_line("process_bound_ratio_stability", trials, spread, 2.0))
     return out
 
 
@@ -314,7 +305,7 @@ def _verify_sudakov(trials: int, seed: int) -> list[dict]:
 
     mean_inf, _ = gaussian_sup_estimates(fixture, None, trials, child_seed(seed, "inf"))
     gap = abs(mean_inf - HALF_NORMAL_MEAN) / se
-    out.append(_property_line("sudakov_inf_span_e1", trials, gap, 3.0, gap <= 3.0))
+    out.append(_property_line("sudakov_inf_span_e1", trials, gap, 3.0))
 
     weights = [0.0] * m
     weights[0] = 1.0
@@ -322,18 +313,12 @@ def _verify_sudakov(trials: int, seed: int) -> list[dict]:
         fixture, weights, trials, child_seed(seed, "weighted")
     )
     gap_w = abs(mean_w - HALF_NORMAL_MEAN) / se
-    out.append(
-        _property_line("sudakov_weighted_span_e1", trials, gap_w, 3.0, gap_w <= 3.0)
-    )
+    out.append(_property_line("sudakov_weighted_span_e1", trials, gap_w, 3.0))
 
     _, mean_zero = gaussian_sup_estimates(
         fixture, [0.0] * m, trials, child_seed(seed, "zero")
     )
-    out.append(
-        _property_line(
-            "sudakov_zero_weights", trials, mean_zero, 0.0, mean_zero == 0.0
-        )
-    )
+    out.append(_property_line("sudakov_zero_weights", trials, mean_zero, 0.0))
     return out
 
 
@@ -341,23 +326,13 @@ def _verify_quasimetric(trials: int, seed: int) -> list[dict]:
     out = []
     for dim in (2, 8, 32):
         ratio = check_quasi_triangle(trials, dim, child_seed(seed, "triangle", dim))
-        out.append(
-            _property_line(
-                f"quasi_triangle_dim{dim}", trials, ratio, 4.0, ratio <= 4.0
-            )
-        )
+        out.append(_property_line(f"quasi_triangle_dim{dim}", trials, ratio, 4.0))
         pairs = max(1, trials // 10)
         worst = check_sandwich(pairs, dim, child_seed(seed, "sandwich", dim))
-        out.append(
-            _property_line(
-                f"quasi_sandwich_dim{dim}", pairs, worst, 1.0, worst <= 1.0
-            )
-        )
+        out.append(_property_line(f"quasi_sandwich_dim{dim}", pairs, worst, 1.0))
     combos = max(1, trials // 10)
     ratio = check_ball_convexity(combos, 6, 0.3, child_seed(seed, "convexity"))
-    out.append(
-        _property_line("quasi_ball_convexity", combos, ratio, 4.0, ratio <= 4.0)
-    )
+    out.append(_property_line("quasi_ball_convexity", combos, ratio, 4.0))
     return out
 
 

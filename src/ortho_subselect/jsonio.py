@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
@@ -20,20 +18,19 @@ def format_float(x: float) -> str:
 
 
 def dumps(obj) -> str:
-    """Serialize dicts/lists/scalars to compact JSON with %.17g floats."""
+    """Serialize dicts, lists, bools, ints, floats and strs to compact JSON
+    with %.17g floats; ``np.float64`` is a float and serializes too."""
     if isinstance(obj, dict):
         items = ", ".join(f"{dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if obj is None:
-        return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

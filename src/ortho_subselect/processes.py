@@ -86,7 +86,7 @@ def estimate_process(a: OrthoRowMatrix, trials: int, seed: int) -> ProcessEstima
 
     # rademacher signs are +-1, so the unchecked supremum applies
     values = np.asarray([_sign_sup(a.mat.T, rademacher(rng, a.m))
-                         for rng in trial_rngs(seed, 0, trials)])
+                         for rng in trial_rngs(seed, trials)])
     mean = math.fsum(values) / trials
     var = math.fsum((values - mean) ** 2) / (trials - 1)
     std_error = math.sqrt(var / trials)
@@ -120,7 +120,7 @@ def gaussian_sup_estimates(
     wvals = np.empty(trials) if wt is not None else None
     block = max(1, _CHUNK_ENTRIES // a.m)
     g = np.empty((min(block, trials), a.m))
-    rngs = trial_rngs(seed, 0, trials)
+    rngs = trial_rngs(seed, trials)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         # zip takes the rows first, so it draws one generator per row

@@ -115,17 +115,17 @@ def _preset_state_type() -> type:
     return PresetState
 
 
-def trial_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """Generators for ``child_seed(seed, k)``, ``k = start .. stop-1``, in order.
+def trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """Generators for ``child_seed(seed, k)``, ``k = 0 .. count-1``, in order.
 
     Each equals ``make_rng(child_seed(seed, k))`` draw for draw. Seeds are
     derived and mixed lazily, ``_SEED_CHUNK`` trials at a time.
     """
     preset = _preset_state_type()
     prefix = f"{seed}:"
-    for lo in range(start, stop, _SEED_CHUNK):
+    for lo in range(0, count, _SEED_CHUNK):
         digests = bytearray()  # child_seed's 8 big-endian bytes per trial
-        for k in range(lo, min(lo + _SEED_CHUNK, stop)):
+        for k in range(lo, min(lo + _SEED_CHUNK, count)):
             digests += hashlib.sha256(f"{prefix}{k}".encode("ascii")).digest()[:8]
         for words in _seed_words(np.frombuffer(digests, dtype=">u8")):
             yield np.random.Generator(np.random.PCG64(preset(words)))

@@ -97,7 +97,7 @@ def halve_step(
     _check_subset(a, parent)
     lo, hi = cardinality_window(p)
     cols = parent.zero_based()
-    for retry, rng in enumerate(trial_rngs(seed, 0, max_retries)):
+    for retry, rng in enumerate(trial_rngs(seed, max_retries)):
         keep = rng.integers(0, 2, size=p).astype(bool)  # sign +1 <=> keep
         size = int(keep.sum())
         if size < lo or size > hi:
@@ -200,7 +200,7 @@ def uniform_baseline(
         cols = np.sort(rng.choice(a.m, size=size, replace=False)) + 1
         return _certificate(a, SubsetIndex(cols, a.m), t)
 
-    return [one_trial(rng) for rng in trial_rngs(seed, 0, trials)]
+    return [one_trial(rng) for rng in trial_rngs(seed, trials)]
 
 
 def certificate_to_dict(cert: IsometryCertificate) -> dict:

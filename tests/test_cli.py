@@ -12,6 +12,7 @@ from ortho_subselect.cli import (
     CSV_HEADER,
     StudyConfig,
     StudyRow,
+    main,
     run_study,
     study_rows_to_csv,
     study_summary,
@@ -325,6 +326,17 @@ def test_verify_suites_pass(tmp_path):
 
     res = run_cli("verify", "--suite", "sudakov", "--trials", "2000", "--seed", "1")
     assert res.returncode == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_pass_is_max_ratio_within_threshold(capsys, seed):
+    code = main(["verify", "--suite", "all", "--seed", str(seed)])
+    lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    props = [ln for ln in lines if "pass" in ln]
+    assert len(props) == 12
+    for ln in props:
+        assert ln["pass"] == (ln["max_ratio"] <= ln["threshold"]), ln
+    assert (code == 0) == all(ln["pass"] for ln in props)
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -49,17 +49,22 @@ DRAWS = {
 @pytest.mark.parametrize("draw", sorted(DRAWS))
 @pytest.mark.parametrize(
     "start, stop",
-    [(0, 1), (0, _SEED_CHUNK - 1), (0, _SEED_CHUNK + 1), (_SEED_CHUNK - 2, _SEED_CHUNK + 2),
-     (2 * _SEED_CHUNK - 1, 2 * _SEED_CHUNK + 1), (5, 5)],
+    [(0, 0), (0, 1), (0, _SEED_CHUNK - 1), (0, _SEED_CHUNK), (0, _SEED_CHUNK + 1),
+     (_SEED_CHUNK - 2, _SEED_CHUNK + 2), (2 * _SEED_CHUNK - 1, 2 * _SEED_CHUNK + 1),
+     (5, 5)],
 )
 def test_trial_rngs_match_default_rng(draw, start, stop):
+    # generators start .. stop-1 of trial_rngs(seed, stop); the windows that
+    # start mid-chunk check both sides of a chunk edge
     seed = 904337711
     want = _streams((make_rng(child_seed(seed, k)) for k in range(start, stop)), DRAWS[draw])
-    assert _streams(trial_rngs(seed, start, stop), DRAWS[draw]) == want
+    got = itertools.islice(trial_rngs(seed, stop), start, None)
+    assert _streams(got, DRAWS[draw]) == want
+    assert len(list(trial_rngs(seed, stop))) == stop
 
 
 def test_trial_rngs_is_lazy_and_ordered():
-    rngs = trial_rngs(7, 0, 10**12)  # a list this long would not fit in memory
+    rngs = trial_rngs(7, 10**12)  # a list this long would not fit in memory
     for k, rng in enumerate(itertools.islice(rngs, 3)):
         assert rng.integers(2**63) == make_rng(child_seed(7, k)).integers(2**63)
 
