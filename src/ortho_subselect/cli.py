@@ -47,6 +47,11 @@ CSV_HEADER = "n,M,trial,final_size,epsilon_achieved,steps,total_retries,ratio"
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 HALF_NORMAL_STD = math.sqrt(1.0 - 2.0 / math.pi)
 
+# Family-wise false-alarm rate of the statistical lines of a --suite all run,
+# the two two-sided Sudakov z-tests; Bonferroni gives each test VERIFY_ALPHA / 2.
+VERIFY_ALPHA = 1e-6
+SUDAKOV_THRESHOLD = statistics.NormalDist().inv_cdf(1.0 - VERIFY_ALPHA / 4)
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -305,7 +310,7 @@ def _verify_sudakov(trials: int, seed: int) -> list[dict]:
 
     mean_inf, _ = gaussian_sup_estimates(fixture, None, trials, child_seed(seed, "inf"))
     gap = abs(mean_inf - HALF_NORMAL_MEAN) / se
-    out.append(_property_line("sudakov_inf_span_e1", trials, gap, 3.0))
+    out.append(_property_line("sudakov_inf_span_e1", trials, gap, SUDAKOV_THRESHOLD))
 
     weights = [0.0] * m
     weights[0] = 1.0
@@ -313,7 +318,9 @@ def _verify_sudakov(trials: int, seed: int) -> list[dict]:
         fixture, weights, trials, child_seed(seed, "weighted")
     )
     gap_w = abs(mean_w - HALF_NORMAL_MEAN) / se
-    out.append(_property_line("sudakov_weighted_span_e1", trials, gap_w, 3.0))
+    out.append(
+        _property_line("sudakov_weighted_span_e1", trials, gap_w, SUDAKOV_THRESHOLD)
+    )
 
     _, mean_zero = gaussian_sup_estimates(
         fixture, [0.0] * m, trials, child_seed(seed, "zero")

@@ -1,5 +1,6 @@
 import json
 import math
+import statistics
 import subprocess
 import sys
 from dataclasses import fields
@@ -7,9 +8,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ortho_subselect import read_matrix_text
+from ortho_subselect import OrthoRowMatrix, cli, gaussian_sup_estimates, read_matrix_text
 from ortho_subselect.cli import (
     CSV_HEADER,
+    SUDAKOV_THRESHOLD,
+    VERIFY_ALPHA,
     StudyConfig,
     StudyRow,
     main,
@@ -337,6 +340,34 @@ def test_verify_pass_is_max_ratio_within_threshold(capsys, seed):
     for ln in props:
         assert ln["pass"] == (ln["max_ratio"] <= ln["threshold"]), ln
     assert (code == 0) == all(ln["pass"] for ln in props)
+
+
+def test_sudakov_threshold_splits_alpha_over_two_two_sided_tests(capsys):
+    # seed 904337711's weighted gap of 3.068 failed the old 3-sigma threshold
+    assert SUDAKOV_THRESHOLD == statistics.NormalDist().inv_cdf(1.0 - VERIFY_ALPHA / 4)
+    assert main(["verify", "--suite", "sudakov", "--seed", "904337711"]) == 0
+    lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert [ln["threshold"] for ln in lines] == [5.0263128360298648] * 2 + [0.0]
+    assert 3.0 < lines[1]["max_ratio"] < 3.1
+
+
+def _scaled_means(a, weights, trials, seed):
+    mean_inf, mean_w = gaussian_sup_estimates(a, weights, trials, seed)
+    return 1.1 * mean_inf, None if mean_w is None else 1.1 * mean_w
+
+
+def _unprojected(a, weights, trials, seed):
+    return gaussian_sup_estimates(OrthoRowMatrix(np.eye(a.m)), weights, trials, seed)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("defect", [_scaled_means, _unprojected],
+                         ids=["means-scaled-1.1", "projection-skipped"])
+def test_sudakov_suite_catches_planted_defects(monkeypatch, capsys, defect, seed):
+    monkeypatch.setattr(cli, "gaussian_sup_estimates", defect)
+    assert main(["verify", "--suite", "sudakov", "--seed", str(seed)]) == 1
+    lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert not lines[0]["pass"]
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
