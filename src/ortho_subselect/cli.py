@@ -308,7 +308,10 @@ def _verify_sudakov(trials: int, seed: int) -> list[dict]:
     fixture = OrthoRowMatrix(np.eye(1, m))
     se = HALF_NORMAL_STD / math.sqrt(trials)
 
-    mean_inf, _ = gaussian_sup_estimates(fixture, None, trials, child_seed(seed, "inf"))
+    # with zero weights, this pass's weighted mean is the zero-weights line
+    mean_inf, mean_zero = gaussian_sup_estimates(
+        fixture, [0.0] * m, trials, child_seed(seed, "inf")
+    )
     gap = abs(mean_inf - HALF_NORMAL_MEAN) / se
     out.append(_property_line("sudakov_inf_span_e1", trials, gap, SUDAKOV_THRESHOLD))
 
@@ -320,10 +323,6 @@ def _verify_sudakov(trials: int, seed: int) -> list[dict]:
     gap_w = abs(mean_w - HALF_NORMAL_MEAN) / se
     out.append(
         _property_line("sudakov_weighted_span_e1", trials, gap_w, SUDAKOV_THRESHOLD)
-    )
-
-    _, mean_zero = gaussian_sup_estimates(
-        fixture, [0.0] * m, trials, child_seed(seed, "zero")
     )
     out.append(_property_line("sudakov_zero_weights", trials, mean_zero, 0.0))
     return out
@@ -338,7 +337,7 @@ def _verify_quasimetric(trials: int, seed: int) -> list[dict]:
         worst = check_sandwich(pairs, dim, child_seed(seed, "sandwich", dim))
         out.append(_property_line(f"quasi_sandwich_dim{dim}", pairs, worst, 1.0))
     combos = max(1, trials // 10)
-    ratio = check_ball_convexity(combos, 6, 0.3, child_seed(seed, "convexity"))
+    ratio = check_ball_convexity(combos, 6, child_seed(seed, "convexity"))
     out.append(_property_line("quasi_ball_convexity", combos, ratio, 4.0))
     return out
 

@@ -196,12 +196,13 @@ def read_matrix_text(path) -> np.ndarray:
         raise MatrixFormatError(
             f"{path}: expected {n} data rows, found {len(lines) - 1}"
         )
-    a = np.empty((n, m))  # row by row: all tokens at once take ~10x its memory
     try:
         for r, line in enumerate(lines[1:], start=1):
             fields = line.split()
             if len(fields) != m:
                 raise ValueError(f"row {r} has {len(fields)} values, expected {m}")
+            if r == 1:  # row 1 has shown M, so a false header is never allocated
+                a = np.empty((n, m))  # row by row: all tokens at once take ~10x
             a[r - 1] = fields  # numpy parses each string as float() does
         return as_matrix(a)
     except ValueError as exc:

@@ -3,8 +3,8 @@
 W is the row space of an ``OrthoRowMatrix`` A, checked once on entry.
 Covers the sign-weighted quadratic supremum over W intersected with the
 unit ball (spectral norm of the sign-compressed basis Gram matrix), Gaussian
-projection norms, and sampled checks of the fourth-moment quasimetric: its
-sandwich bound, factor-4 triangle inequality and ball convexity.
+projection norms (inf and weighted, from one pass), and sampled checks of the
+fourth-moment quasimetric: sandwich, factor-4 triangle and ball convexity.
 
 Estimator sums are exactly rounded (``math.fsum``), independent of order.
 Draws keep their documented order; only the arithmetic on them is batched.
@@ -32,6 +32,11 @@ from .rng import make_rng, rademacher, trial_rngs
 # Entries per chunk of draws in every sampler: keeps a chunk's arrays at
 # 32 KiB each, whatever the sample or trial count.
 _CHUNK_ENTRIES = 1 << 12
+
+# check_ball_convexity's radius, fixed since small radii measure rounding:
+# over seeds 0-3 (200 samples, dim 6) the ratio is stable to 4 decimals at
+# 1e-4..1e-10, yet reads 1.71-3.87 at 1e-15 and 5.72-12.9 (> 4) at 3e-16.
+_BALL_RADIUS = 0.3
 
 
 @dataclass(frozen=True)
@@ -98,26 +103,24 @@ def estimate_process(a: OrthoRowMatrix, trials: int, seed: int) -> ProcessEstima
 
 def gaussian_sup_estimates(
     a: OrthoRowMatrix, weights, trials: int, seed: int
-) -> tuple[float, float | None]:
-    """Monte-Carlo means of ||P_W g||_inf and, when ``weights`` is given,
-    of the weighted norm (sum_i (P_W g)_i^2 * weights_i^2)^(1/2).
+) -> tuple[float, float]:
+    """Monte-Carlo means of ||P_W g||_inf and of the weighted norm
+    (sum_i (P_W g)_i^2 * weights_i^2)^(1/2).
 
     g is standard Gaussian in R^M; trial k is seeded by child_seed(seed, k).
-    Returns (mean_inf, mean_weighted) with mean_weighted None when weights
-    are absent.
+    Returns (mean_inf, mean_weighted). The inf-norm mean does not read the
+    weights, so it is the same whatever weights are passed.
     """
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
-    wt = None
-    if weights is not None:
-        wt = np.asarray(weights, dtype=np.float64)
-        if wt.shape != (a.m,):
-            raise BadWeights(f"need {a.m} weights, got shape {wt.shape}")
-        if not np.all(np.isfinite(wt)):
-            raise BadWeights("weights must be finite")
+    wt = np.asarray(weights, dtype=np.float64)
+    if wt.shape != (a.m,):
+        raise BadWeights(f"need {a.m} weights, got shape {wt.shape}")
+    if not np.all(np.isfinite(wt)):
+        raise BadWeights("weights must be finite")
     u = a.mat.T
     inf_vals = np.empty(trials)
-    wvals = np.empty(trials) if wt is not None else None
+    wvals = np.empty(trials)
     block = max(1, _CHUNK_ENTRIES // a.m)
     g = np.empty((min(block, trials), a.m))
     rngs = trial_rngs(seed, trials)
@@ -130,11 +133,8 @@ def gaussian_sup_estimates(
         # workers spin for longer than these small contractions take
         proj = np.einsum("tn,mn->tm", np.einsum("tm,mn->tn", g[: stop - start], u), u)
         inf_vals[start:stop] = np.max(np.abs(proj), axis=1)
-        if wvals is not None:
-            wvals[start:stop] = np.sqrt(np.sum(proj * proj * wt * wt, axis=1))
-    mean_inf = math.fsum(inf_vals) / trials
-    mean_weighted = math.fsum(wvals) / trials if wvals is not None else None
-    return mean_inf, mean_weighted
+        wvals[start:stop] = np.sqrt(np.sum(proj * proj * wt * wt, axis=1))
+    return math.fsum(inf_vals) / trials, math.fsum(wvals) / trials
 
 
 def _d_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -250,17 +250,16 @@ def _ball_points(centers, deltas, fracs, rho: float):
     return points, live
 
 
-def check_ball_convexity(samples: int, dim: int, rho: float, seed: int) -> float:
-    """Worst observed d(v, w) / rho over random convex combinations v of
-    points sampled inside the quasimetric ball of radius rho around w.
+def check_ball_convexity(samples: int, dim: int, seed: int) -> float:
+    """Worst observed d(v, w) / rho over random convex combinations v of points
+    sampled inside the quasimetric ball of radius rho = ``_BALL_RADIUS`` around w.
 
     Convex hulls of quasimetric balls inflate the radius by at most 4.
     Raises SamplingFailed if the ball sampler cannot place hull points.
     """
     if samples < 1 or dim < 1:
         raise ValueError("need samples >= 1 and dim >= 1")
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ValueError(f"rho must be finite and > 0, got {rho}")
+    rho = _BALL_RADIUS
     rng = make_rng(seed)
     combos_per_hull = 8
     hull_size = 6

@@ -130,7 +130,7 @@ def test_criterion_06_gaussian_sup_fixture():
     with Criterion(6, "E||P_W g||_inf matches the half-normal mean", 10):
         trials = 10_000
         mean_inf, _ = gaussian_sup_estimates(
-            OrthoRowMatrix(np.eye(1, 64)), None, trials, seed=2
+            OrthoRowMatrix(np.eye(1, 64)), np.zeros(64), trials, seed=2
         )
         expected = math.sqrt(2.0 / math.pi)
         se = math.sqrt(1.0 - 2.0 / math.pi) / math.sqrt(trials)
@@ -149,7 +149,7 @@ def test_criterion_07_quasimetric_hard_properties():
             d = np.sqrt(np.sum((x - y) ** 2 * (x * x + y * y), axis=1))
             dt = np.sqrt(np.sum((x * x - y * y) ** 2, axis=1))
             assert np.all(dt <= math.sqrt(2.0) * d), "sandwich violated"
-        ratio = check_ball_convexity(10_000, 6, rho=0.3, seed=3)
+        ratio = check_ball_convexity(10_000, 6, seed=3)
         assert ratio <= 4.0, f"convexity ratio {ratio} > 4"
 
 

@@ -7,7 +7,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ortho_subselect import OrthoRowMatrix, cli, gaussian_sup_estimates, read_matrix_text
+from ortho_subselect import (
+    OrthoRowMatrix,
+    cli,
+    gaussian_sup_estimates,
+    processes,
+    read_matrix_text,
+)
 from ortho_subselect.cli import (
     CSV_HEADER,
     StudyConfig,
@@ -17,6 +23,7 @@ from ortho_subselect.cli import (
     study_rows_to_csv,
     study_summary,
 )
+from ortho_subselect.rng import trial_rngs
 
 CMD = [sys.executable, "-m", "ortho_subselect"]
 
@@ -348,9 +355,25 @@ def test_sudakov_threshold_splits_alpha_over_two_two_sided_tests(capsys):
     assert 3.0 < lines[1]["max_ratio"] < 3.1
 
 
+def test_sudakov_suite_seeds_two_passes_of_trials(monkeypatch, capsys):
+    # the inf-norm pass runs with zero weights and also gives the
+    # zero-weights line, so no third pass is seeded
+    seeded = []
+
+    def counted(seed, count):
+        for rng in trial_rngs(seed, count):
+            seeded.append(seed)
+            yield rng
+
+    monkeypatch.setattr(processes, "trial_rngs", counted)
+    main(["verify", "--suite", "sudakov", "--trials", "50"])
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert len(seeded) == 100
+
+
 def _scaled_means(a, weights, trials, seed):
     mean_inf, mean_w = gaussian_sup_estimates(a, weights, trials, seed)
-    return 1.1 * mean_inf, None if mean_w is None else 1.1 * mean_w
+    return 1.1 * mean_inf, 1.1 * mean_w
 
 
 def _unprojected(a, weights, trials, seed):
@@ -388,7 +411,6 @@ def test_verify_one_trial_is_a_usage_error_only_for_the_process_suite():
 
 
 def test_cli_outputs_are_byte_identical(tmp_path):
-    args = ("select", "--input", None, "--epsilon", "0.6", "--seed", "11")
     mat = tmp_path / "w.txt"
     run_cli("gen", "--kind", "walsh", "--n", "8", "--M", "64",
             "--output", str(mat))

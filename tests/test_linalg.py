@@ -377,6 +377,16 @@ def test_matrix_text_errors_name_the_defect(tmp_path):
         read_matrix_text(path)
 
 
+def test_matrix_text_header_overstating_m_is_reported_not_allocated(tmp_path):
+    # row 1 is counted before the n x M array exists; this one would take
+    # 7.11 PiB
+    path = tmp_path / "lie.txt"
+    path.write_text("1 1000000000000000\n1 0\n")
+    message = f"{path}: row 1 has 2 values, expected 1000000000000000"
+    with pytest.raises(MatrixFormatError, match=re.escape(message)):
+        read_matrix_text(path)
+
+
 def test_write_matrix_text_gz_suffix_stays_plain_ascii(tmp_path):
     path = tmp_path / "m.txt.gz"
     write_matrix_text(path, [[0.5, -0.0]])

@@ -26,7 +26,9 @@ from ortho_subselect import (
     rademacher,
     sup_process_sample,
 )
+from ortho_subselect import cli
 from ortho_subselect import processes as proc
+from ortho_subselect.jsonio import dumps
 from ortho_subselect.processes import _CHUNK_ENTRIES, _d_batch, check_sandwich
 from ortho_subselect.rng import _SEED_CHUNK
 
@@ -40,7 +42,7 @@ def ones_span(m: int) -> OrthoRowMatrix:
 
 def _gaussian_sup_loop(a, weights, trials, seed):
     """Reference: one projection per trial, drawn and reduced one at a time."""
-    wt = None if weights is None else np.asarray(weights, dtype=np.float64)
+    wt = np.asarray(weights, dtype=np.float64)
     inf_vals = np.empty(trials)
     wvals = np.empty(trials)
     for trial in range(trials):
@@ -48,10 +50,8 @@ def _gaussian_sup_loop(a, weights, trials, seed):
         g = rng.standard_normal(a.m)
         proj = a.mat.T @ (a.mat @ g)
         inf_vals[trial] = np.max(np.abs(proj))
-        if wt is not None:
-            wvals[trial] = math.sqrt(float(np.sum(proj * proj * wt * wt)))
-    mean_weighted = None if wt is None else math.fsum(wvals) / trials
-    return math.fsum(inf_vals) / trials, mean_weighted
+        wvals[trial] = math.sqrt(float(np.sum(proj * proj * wt * wt)))
+    return math.fsum(inf_vals) / trials, math.fsum(wvals) / trials
 
 
 def _estimate_process_loop(a, trials, seed):
@@ -242,9 +242,9 @@ def test_estimate_ones_span_matches_independent_simulation():
 def test_gaussian_sup_half_normal_fixture():
     trials = 10_000
     mean_inf, mean_w = gaussian_sup_estimates(
-        OrthoRowMatrix(np.eye(1, 64)), None, trials, seed=2
+        OrthoRowMatrix(np.eye(1, 64)), np.zeros(64), trials, seed=2
     )
-    assert mean_w is None
+    assert mean_w == 0.0
     se = HALF_NORMAL_STD / math.sqrt(trials)
     assert abs(mean_inf - HALF_NORMAL_MEAN) <= 3.0 * se
 
@@ -265,10 +265,47 @@ def test_gaussian_sup_matches_per_trial_loop_on_coordinate_spans():
     rng = np.random.default_rng(17)
     for m, dims in ((64, 1), (64, 5), (8, 8)):
         a = OrthoRowMatrix(np.eye(dims, m))
-        for weights in (None, rng.standard_normal(m), [1.0] + [0.0] * (m - 1)):
+        for weights in (np.zeros(m), rng.standard_normal(m), [1.0] + [0.0] * (m - 1)):
             for trials, seed in zip(TRIAL_COUNTS + (300,), (0, 1, 2, 3, 4, 5, 6, 2**40, 7)):
                 got = gaussian_sup_estimates(a, weights, trials, seed)
                 assert got == _gaussian_sup_loop(a, weights, trials, seed)
+
+
+def test_gaussian_sup_inf_mean_does_not_read_the_weights():
+    rng = np.random.default_rng(20)
+    for a in (OrthoRowMatrix(np.eye(1, 64)), gen_walsh(8, 128)):
+        means = [
+            gaussian_sup_estimates(a, weights, 300, seed=3)[0]
+            for weights in (np.zeros(a.m), np.eye(1, a.m)[0], rng.standard_normal(a.m))
+        ]
+        assert means[0] == means[1] == means[2]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 65, 1000])
+def test_sudakov_lines_match_three_separate_passes(trials):
+    # The suite reads sudakov_zero_weights off its zero-weights inf-norm
+    # pass. Its lines must equal those built from three per-trial passes,
+    # one on each of the seed paths "inf", "weighted" and "zero".
+    m = 64
+    fixture = OrthoRowMatrix(np.eye(1, m))
+    zeros, e1 = np.zeros(m), np.eye(1, m)[0]
+    se = HALF_NORMAL_STD / math.sqrt(trials)
+    for seed in range(5):
+        mean_inf, _ = _gaussian_sup_loop(fixture, zeros, trials, child_seed(seed, "inf"))
+        _, mean_w = _gaussian_sup_loop(fixture, e1, trials, child_seed(seed, "weighted"))
+        _, mean_zero = _gaussian_sup_loop(fixture, zeros, trials, child_seed(seed, "zero"))
+        threshold = cli.SUDAKOV_THRESHOLD
+        want = [
+            ("sudakov_inf_span_e1", abs(mean_inf - HALF_NORMAL_MEAN) / se, threshold),
+            ("sudakov_weighted_span_e1", abs(mean_w - HALF_NORMAL_MEAN) / se, threshold),
+            ("sudakov_zero_weights", mean_zero, 0.0),
+        ]
+        want = [
+            dumps({"check": check, "samples": trials, "max_ratio": ratio,
+                   "threshold": limit, "pass": ratio <= limit})
+            for check, ratio, limit in want
+        ]
+        assert [dumps(line) for line in cli._verify_sudakov(trials, seed)] == want
 
 
 @pytest.mark.parametrize("trials", [t for t in TRIAL_COUNTS if t >= 2])
@@ -432,7 +469,7 @@ def test_quasi_triangle_memory_stays_near_the_drawn_triples():
         (lambda samples: check_sandwich(samples, 32, seed=5), (20_000, 200_000)),
         # tracemalloc slows the per-hull draw calls about 15x, so this one
         # runs 10x fewer samples; holding all 20,000 at once peaked at 43 MiB
-        (lambda samples: check_ball_convexity(samples, 32, rho=0.3, seed=5), (2_000, 20_000)),
+        (lambda samples: check_ball_convexity(samples, 32, seed=5), (2_000, 20_000)),
     ],
     ids=["triangle", "sandwich", "convexity"],
 )
@@ -449,18 +486,16 @@ def test_sampler_memory_does_not_grow_with_samples(sampler, counts):
 
 
 def test_ball_convexity_bounded():
-    assert check_ball_convexity(1_000, 6, rho=0.3, seed=7) <= 4.0
-    for rho in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="rho must be finite and > 0"):
-            check_ball_convexity(10, 6, rho=rho, seed=0)
+    assert check_ball_convexity(1_000, 6, seed=7) <= 4.0
 
 
-@pytest.mark.parametrize("rho", [0.05, 0.3, 3.0])
+# the oracle takes a radius; the check uses its fixed one
+@pytest.mark.parametrize("rho", [proc._BALL_RADIUS])
 @pytest.mark.parametrize("dim", [1, 6, 32])
 def test_ball_convexity_matches_per_combination_loop(dim, rho):
     for seed, samples in enumerate((1, 7, 8, 9, 1000)):
         want = _ball_convexity_loop(samples, dim, rho, seed)
-        assert check_ball_convexity(samples, dim, rho, seed) == want
+        assert check_ball_convexity(samples, dim, seed) == want
 
 
 def _ball_convexity_whole(samples: int, dim: int, rho: float, seed: int) -> float:
@@ -506,12 +541,9 @@ def _hull_group_edges(dim):
 
 @pytest.mark.parametrize("dim", [1, 6, 32, WIDE_DIM])
 def test_ball_convexity_matches_whole_array_sampler(dim):
-    # 1e-300 is below what any hull point's offset can resolve: every point
-    # collapses onto its center, and the ratio is rounding noise over rho
     for samples in _hull_group_edges(dim):
-        for rho in (0.05, 0.3, 1e-300):
-            want = _ball_convexity_whole(samples, dim, rho, seed=samples)
-            assert check_ball_convexity(samples, dim, rho, seed=samples) == want
+        want = _ball_convexity_whole(samples, dim, proc._BALL_RADIUS, seed=samples)
+        assert check_ball_convexity(samples, dim, seed=samples) == want
 
 
 def test_ball_convexity_failure_matches_whole_array_sampler(monkeypatch):
@@ -533,7 +565,7 @@ def test_ball_convexity_failure_matches_whole_array_sampler(monkeypatch):
         _ball_convexity_whole(samples, 32, 0.3, seed=5)
     calls.clear()
     with pytest.raises(SamplingFailed) as got:
-        check_ball_convexity(samples, 32, 0.3, seed=5)
+        check_ball_convexity(samples, 32, seed=5)
     assert str(got.value) == str(want.value)
     assert len(calls) > 1
 
@@ -541,14 +573,14 @@ def test_ball_convexity_failure_matches_whole_array_sampler(monkeypatch):
 def test_ball_convexity_reports_sampler_failure(monkeypatch):
     def message(center):
         return (
-            "could not sample inside a radius-0.1 ball around a point with "
+            "could not sample inside a radius-0.3 ball around a point with "
             f"max coordinate {np.max(np.abs(center)):.3g}"
         )
 
     monkeypatch.setattr(proc, "_ball_points", lambda c, *args: (c, np.arange(len(c))))
     first = make_rng(0).standard_normal(4)
     with pytest.raises(SamplingFailed) as err:
-        check_ball_convexity(10, 4, rho=0.1, seed=0)
+        check_ball_convexity(10, 4, seed=0)
     assert str(err.value) == message(first)
 
     # only the second hull (points 6..11) fails: its center is named
@@ -560,7 +592,7 @@ def test_ball_convexity_reports_sampler_failure(monkeypatch):
 
     monkeypatch.setattr(proc, "_ball_points", second_hull_fails)
     with pytest.raises(SamplingFailed) as err:
-        check_ball_convexity(24, 4, rho=0.1, seed=0)
+        check_ball_convexity(24, 4, seed=0)
     assert str(err.value) == message(seen[0])
     assert str(err.value) != message(first)
 
