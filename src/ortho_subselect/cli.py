@@ -166,7 +166,7 @@ def study_rows_to_csv(rows: list[StudyRow]) -> str:
 def parse_subset_spec(spec: str, m: int) -> SubsetIndex:
     """Subset from a certificate/trace JSON path or an inline index list."""
     path = Path(spec)
-    if path.exists():
+    if spec and path.exists():  # Path("") is Path("."), which exists
         try:
             data = json.loads(path.read_text(encoding="ascii"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -114,6 +114,7 @@ CASES: dict[str, dict] = {
         "inputs": {"m.txt": {"text": SKEW}},
     },
     "subset_unparsable": {"argv": CERTIFY + ["1,a"], "inputs": WALSH},
+    "subset_empty": {"argv": CERTIFY + [""], "inputs": WALSH},
     "subset_json_without_subset": {
         "argv": CERTIFY + ["s.json"],
         "inputs": {**WALSH, "s.json": {"text": '{"x": 1}'}},

@@ -152,6 +152,22 @@ def test_certify_rejects_non_finite_or_negative_epsilon(tmp_path, epsilon):
     assert "Traceback" not in res.stderr
 
 
+def test_certify_empty_subset_is_not_the_current_directory(tmp_path):
+    mat = tmp_path / "w.txt"
+    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
+            "--output", str(mat))
+    # Path("") is Path("."), which exists; only "." itself names the directory
+    res = run_cli("certify", "--input", str(mat), "--subset", "",
+                  "--epsilon", "0.5")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == "error: empty subset specification\n"
+    res = run_cli("certify", "--input", str(mat), "--subset", ".",
+                  "--epsilon", "0.5")
+    assert res.returncode == 1
+    assert "Is a directory: '.'" in res.stderr
+
+
 def test_certify_accepts_zero_epsilon(tmp_path):
     mat = tmp_path / "w.txt"
     run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
