@@ -6,21 +6,7 @@ the extreme eigenvalues of the rescaled subset Gram matrix, and ships
 Monte-Carlo harnesses for the probabilistic machinery behind the selection.
 """
 
-from .errors import (
-    BadSignVector,
-    BadWeights,
-    EmptySubset,
-    IndexOutOfRange,
-    InvalidEpsilon,
-    MatrixFormatError,
-    NotOrthonormal,
-    NotPowerOfTwo,
-    OrthoSubselectError,
-    RankDeficient,
-    RetriesExhausted,
-    SamplingFailed,
-    SizeOutOfRange,
-)
+from .errors import OrthoSubselectError, RetriesExhausted
 from .generators import CoherenceReport, coherence, gen_random_ortho, gen_trig, gen_walsh
 from .linalg import (
     OrthoRowMatrix,

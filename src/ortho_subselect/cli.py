@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidEpsilon, OrthoSubselectError
+from .errors import OrthoSubselectError
 from .generators import coherence, gen_random_ortho, gen_trig, gen_walsh
 from .jsonio import dumps, format_float
 from .linalg import OrthoRowMatrix, SubsetIndex, read_matrix_text, write_matrix_text
@@ -65,15 +65,15 @@ class StudyConfig:
 
     def __post_init__(self):
         if not self.n_list or list(self.n_list) != sorted(set(self.n_list)):
-            raise ValueError("n_list must be nonempty and strictly ascending")
+            raise OrthoSubselectError("n_list must be nonempty and strictly ascending")
         if min(self.n_list) < 2:
-            raise ValueError("study requires n >= 2 (ratio divides by n ln n)")
+            raise OrthoSubselectError("study requires n >= 2 (ratio divides by n ln n)")
         if self.m_factor < 1:
-            raise ValueError("m_factor must be >= 1")
+            raise OrthoSubselectError("m_factor must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
+            raise OrthoSubselectError("epsilon must be in (0, 1)")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise OrthoSubselectError("trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def _generate(kind: str, n: int, m: int, seed: int) -> OrthoRowMatrix:
         return gen_trig(n, m)
     if kind == "random":
         return gen_random_ortho(n, m, seed)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    raise OrthoSubselectError(f"unknown generator kind {kind!r}")
 
 
 def run_study(cfg: StudyConfig) -> list[StudyRow]:
@@ -181,7 +181,7 @@ def parse_subset_spec(spec: str, m: int) -> SubsetIndex:
             raise OrthoSubselectError(f"{spec}: no subset found in JSON")
         # json gives bools and floats too; numpy would read True as 1
         if not isinstance(arr, list) or any(type(x) is not int for x in arr):
-            raise IndexOutOfRange(f"{spec}: subset must be a list of integers")
+            raise OrthoSubselectError(f"{spec}: subset must be a list of integers")
     else:
         try:
             arr = _int_list(spec)
@@ -234,7 +234,7 @@ def cmd_select(args) -> int:
 
 def cmd_certify(args) -> int:
     if not (math.isfinite(args.epsilon) and args.epsilon >= 0.0):
-        raise InvalidEpsilon(f"epsilon must be finite and >= 0, got {args.epsilon}")
+        raise OrthoSubselectError(f"epsilon must be finite and >= 0, got {args.epsilon}")
     a = OrthoRowMatrix(read_matrix_text(args.input))
     subset = parse_subset_spec(args.subset, a.m)
     cert = certify(a, subset)
@@ -447,7 +447,9 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # OrthoSubselectError is a ValueError
+    # OrthoSubselectError is a ValueError; so are numpy's own rejections,
+    # such as gen --seed -1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPowerOfTwo
+from .errors import OrthoSubselectError
 from .linalg import OrthoRowMatrix, orthonormalize_rows
 from .rng import make_rng
 
@@ -28,7 +28,7 @@ class CoherenceReport:
 
 def _check_shape(n: int, m: int) -> None:
     if n < 1 or m < 1 or n > m:
-        raise ValueError(f"need 1 <= n <= M, got n={n}, M={m}")
+        raise OrthoSubselectError(f"need 1 <= n <= M, got n={n}, M={m}")
 
 
 def gen_walsh(n: int, m: int) -> OrthoRowMatrix:
@@ -37,7 +37,7 @@ def gen_walsh(n: int, m: int) -> OrthoRowMatrix:
     Every entry is exactly +-1/sqrt(M), so the coherence t is 1.
     """
     if m < 1 or m & (m - 1):
-        raise NotPowerOfTwo(f"M must be a power of 2, got {m}")
+        raise OrthoSubselectError(f"M must be a power of 2, got {m}")
     _check_shape(n, m)
     j = np.arange(m, dtype=np.int64)[:, None]
     i = np.arange(n, dtype=np.int64)[None, :]

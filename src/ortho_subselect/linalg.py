@@ -18,13 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptySubset,
-    IndexOutOfRange,
-    MatrixFormatError,
-    NotOrthonormal,
-    RankDeficient,
-)
+from .errors import OrthoSubselectError
 
 ORTHO_TOL = 1e-10
 
@@ -33,9 +27,9 @@ def as_matrix(m) -> np.ndarray:
     """Validate and return ``m`` as a finite 2-d float64 array."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
-        raise MatrixFormatError("expected a nonempty 2-d matrix")
+        raise OrthoSubselectError("expected a nonempty 2-d matrix")
     if not np.all(np.isfinite(a)):
-        raise MatrixFormatError("matrix entries must be finite")
+        raise OrthoSubselectError("matrix entries must be finite")
     return a
 
 
@@ -54,10 +48,10 @@ class OrthoRowMatrix:
         a = np.asfortranarray(as_matrix(self.mat))
         n, m = a.shape
         if n > m:
-            raise NotOrthonormal(f"need n <= M, got {n}x{m}")
+            raise OrthoSubselectError(f"need n <= M, got {n}x{m}")
         err = float(np.max(np.abs(a @ a.T - np.eye(n))))
         if err > ORTHO_TOL:
-            raise NotOrthonormal(
+            raise OrthoSubselectError(
                 f"rows not orthonormal: max |A A^T - I| = {err:.3e} exceeds "
                 f"{ORTHO_TOL:.3e}"
             )
@@ -82,15 +76,15 @@ class SubsetIndex:
     def __post_init__(self):
         idx = np.asarray(self.indices)
         if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-            raise IndexOutOfRange(f"indices must be flat integers, got {idx.dtype}")
+            raise OrthoSubselectError(f"indices must be flat integers, got {idx.dtype}")
         bad = idx[1:] <= idx[:-1]
         if np.any(bad):
             j = int(np.argmax(bad))
             if idx[j] == idx[j + 1]:
-                raise IndexOutOfRange(f"duplicate index {idx[j]}")
-            raise IndexOutOfRange("indices must be strictly increasing")
+                raise OrthoSubselectError(f"duplicate index {idx[j]}")
+            raise OrthoSubselectError("indices must be strictly increasing")
         if idx.size and (idx[0] < 1 or idx[-1] > self.m):
-            raise IndexOutOfRange(
+            raise OrthoSubselectError(
                 f"indices must lie in 1..{self.m}, got range "
                 f"[{idx[0]}, {idx[-1]}]"
             )
@@ -116,19 +110,19 @@ def orthonormalize_rows(m) -> OrthoRowMatrix:
     """Orthonormalize the rows of ``m``, preserving their span.
 
     LAPACK QR of the transpose, Q's columns signed like diag(R): the rows
-    Gram-Schmidt gives, with |R_ii| the residual norm of row i. Raises
-    RankDeficient at the first row whose residual norm is ``ORTHO_TOL`` or below.
+    Gram-Schmidt gives, with |R_ii| the residual norm of row i. Rejects the
+    first row whose residual norm is ``ORTHO_TOL`` or below as dependent.
     """
     a = as_matrix(m)
     n, cols = a.shape
     if n > cols:
-        raise RankDeficient(f"more rows than columns ({n}x{cols})")
+        raise OrthoSubselectError(f"more rows than columns ({n}x{cols})")
     q, r = np.linalg.qr(a.T)
     rdiag = np.diagonal(r)
     dependent = np.flatnonzero(np.abs(rdiag) <= ORTHO_TOL)
     if dependent.size:
         i = int(dependent[0])
-        raise RankDeficient(
+        raise OrthoSubselectError(
             f"row {i + 1} is linearly dependent (residual norm {abs(rdiag[i]):.3e})"
         )
     return OrthoRowMatrix((q * np.sign(rdiag)).T)
@@ -136,11 +130,9 @@ def orthonormalize_rows(m) -> OrthoRowMatrix:
 
 def _check_subset(a: OrthoRowMatrix, i: SubsetIndex) -> None:
     if len(i) == 0:
-        raise EmptySubset("subset must contain at least one column index")
+        raise OrthoSubselectError("subset must contain at least one column index")
     if i.m != a.m:
-        raise IndexOutOfRange(
-            f"subset is over 1..{i.m} but matrix has {a.m} columns"
-        )
+        raise OrthoSubselectError(f"subset is over 1..{i.m} but matrix has {a.m} columns")
 
 
 def _gram_extremes(a: OrthoRowMatrix, cols: np.ndarray) -> tuple[float, float, float]:
@@ -173,27 +165,27 @@ def write_matrix_text(path, m) -> None:
 
 
 def read_matrix_text(path) -> np.ndarray:
-    """Parse the matrix text format; raises MatrixFormatError on any defect."""
+    """Parse the matrix text format; raises OrthoSubselectError on any defect."""
     try:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
-        raise MatrixFormatError(f"{path}: {exc}") from exc
+        raise OrthoSubselectError(f"{path}: {exc}") from exc
     if "_" in text:  # int() and float() would read 2_0 as 20
-        raise MatrixFormatError(f"{path}: '_' is not allowed in numbers")
+        raise OrthoSubselectError(f"{path}: '_' is not allowed in numbers")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise MatrixFormatError(f"{path}: empty matrix file")
+        raise OrthoSubselectError(f"{path}: empty matrix file")
     header = lines[0].split()
     if len(header) != 2:
-        raise MatrixFormatError(f"{path}: header must be 'n M'")
+        raise OrthoSubselectError(f"{path}: header must be 'n M'")
     try:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise MatrixFormatError(f"{path}: non-integer header") from exc
+        raise OrthoSubselectError(f"{path}: non-integer header") from exc
     if n < 1 or m < 1:
-        raise MatrixFormatError(f"{path}: dimensions must be positive")
+        raise OrthoSubselectError(f"{path}: dimensions must be positive")
     if len(lines) != n + 1:
-        raise MatrixFormatError(
+        raise OrthoSubselectError(
             f"{path}: expected {n} data rows, found {len(lines) - 1}"
         )
     try:
@@ -206,4 +198,4 @@ def read_matrix_text(path) -> np.ndarray:
             a[r - 1] = fields  # numpy parses each string as float() does
         return as_matrix(a)
     except ValueError as exc:
-        raise MatrixFormatError(f"{path}: {exc}") from exc
+        raise OrthoSubselectError(f"{path}: {exc}") from exc

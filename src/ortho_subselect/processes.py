@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSignVector, BadWeights, SamplingFailed
+from .errors import OrthoSubselectError
 from .linalg import OrthoRowMatrix
 from .rng import make_rng, rademacher, trial_rngs
 
@@ -66,9 +66,9 @@ def sup_process_sample(a: OrthoRowMatrix, signs) -> float:
     """
     s = np.asarray(signs, dtype=np.float64)
     if s.shape != (a.m,):
-        raise BadSignVector(f"need {a.m} signs, got shape {s.shape}")
+        raise OrthoSubselectError(f"need {a.m} signs, got shape {s.shape}")
     if not np.all(np.abs(s) == 1.0):
-        raise BadSignVector("signs must be exactly +-1")
+        raise OrthoSubselectError("signs must be exactly +-1")
     return _sign_sup(a.mat.T, s)
 
 
@@ -87,7 +87,7 @@ def estimate_process(a: OrthoRowMatrix, trials: int, seed: int) -> ProcessEstima
     ``bound_ratio``.
     """
     if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+        raise OrthoSubselectError(f"need at least 2 trials, got {trials}")
 
     # rademacher signs are +-1, so the unchecked supremum applies
     values = np.asarray([_sign_sup(a.mat.T, rademacher(rng, a.m))
@@ -112,12 +112,12 @@ def gaussian_sup_estimates(
     weights, so it is the same whatever weights are passed.
     """
     if trials < 1:
-        raise ValueError(f"need at least 1 trial, got {trials}")
+        raise OrthoSubselectError(f"need at least 1 trial, got {trials}")
     wt = np.asarray(weights, dtype=np.float64)
     if wt.shape != (a.m,):
-        raise BadWeights(f"need {a.m} weights, got shape {wt.shape}")
+        raise OrthoSubselectError(f"need {a.m} weights, got shape {wt.shape}")
     if not np.all(np.isfinite(wt)):
-        raise BadWeights("weights must be finite")
+        raise OrthoSubselectError("weights must be finite")
     u = a.mat.T
     inf_vals = np.empty(trials)
     wvals = np.empty(trials)
@@ -192,7 +192,7 @@ def check_sandwich(samples: int, dim: int, seed: int) -> float:
     drawn after x; ``_normal_blocks`` streams them in chunks.
     """
     if samples < 0 or dim < 1:
-        raise ValueError("need samples >= 0 and dim >= 1")
+        raise OrthoSubselectError("need samples >= 0 and dim >= 1")
     worst = 0.0
     for x, y in _normal_blocks(make_rng(seed), 2, samples, dim):
         dtilde = np.sqrt(np.sum((x * x - y * y) ** 2, axis=-1))
@@ -213,7 +213,7 @@ def check_quasi_triangle(samples: int, dim: int, seed: int) -> float:
     whatever ``samples`` is.
     """
     if samples < 1 or dim < 1:
-        raise ValueError("need samples >= 1 and dim >= 1")
+        raise OrthoSubselectError("need samples >= 1 and dim >= 1")
     rng = make_rng(seed)
     worst = 0.0
     for w, u, v in _normal_blocks(rng, 3, samples, dim):
@@ -255,10 +255,10 @@ def check_ball_convexity(samples: int, dim: int, seed: int) -> float:
     sampled inside the quasimetric ball of radius rho = ``_BALL_RADIUS`` around w.
 
     Convex hulls of quasimetric balls inflate the radius by at most 4.
-    Raises SamplingFailed if the ball sampler cannot place hull points.
+    Raises OrthoSubselectError if the ball sampler cannot place hull points.
     """
     if samples < 1 or dim < 1:
-        raise ValueError("need samples >= 1 and dim >= 1")
+        raise OrthoSubselectError("need samples >= 1 and dim >= 1")
     rho = _BALL_RADIUS
     rng = make_rng(seed)
     combos_per_hull = 8
@@ -291,7 +291,7 @@ def check_ball_convexity(samples: int, dim: int, seed: int) -> float:
         )
         if failed.size:
             center = centers[failed[0] // hull_size]
-            raise SamplingFailed(
+            raise OrthoSubselectError(
                 f"could not sample inside a radius-{rho} ball around "
                 f"a point with max coordinate {np.max(np.abs(center)):.3g}"
             )

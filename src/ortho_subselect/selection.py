@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidEpsilon, RetriesExhausted, SizeOutOfRange
+from .errors import OrthoSubselectError, RetriesExhausted
 from .generators import coherence
 from .linalg import OrthoRowMatrix, SubsetIndex, _check_subset, _gram_extremes
 from .rng import child_seed, trial_rngs
@@ -89,11 +89,11 @@ def halve_step(
     """
     p = len(parent)
     if p < 2:
-        raise SizeOutOfRange(f"cannot halve a subset of size {p}")
+        raise OrthoSubselectError(f"cannot halve a subset of size {p}")
     if not (math.isfinite(epsilon_budget) and epsilon_budget >= 0.0):
-        raise InvalidEpsilon(f"budget must be finite and >= 0, got {epsilon_budget}")
+        raise OrthoSubselectError(f"budget must be finite and >= 0, got {epsilon_budget}")
     if max_retries < 1:
-        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+        raise OrthoSubselectError(f"max_retries must be >= 1, got {max_retries}")
     _check_subset(a, parent)
     lo, hi = cardinality_window(p)
     cols = parent.zero_based()
@@ -136,13 +136,13 @@ def select_subset(
     global deviation.
     """
     if not 0.0 < epsilon < 1.0:
-        raise InvalidEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
+        raise OrthoSubselectError(f"epsilon must be in (0, 1), got {epsilon}")
     if min_size < 1:
-        raise SizeOutOfRange(f"min_size must be >= 1, got {min_size}")
+        raise OrthoSubselectError(f"min_size must be >= 1, got {min_size}")
     if max_retries < 1:
-        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+        raise OrthoSubselectError(f"max_retries must be >= 1, got {max_retries}")
     if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+        raise OrthoSubselectError(f"kappa must be finite and >= 0, got {kappa}")
     t = coherence(a).t
     floor = _size_floor(a.n, t, epsilon, kappa)
     current = SubsetIndex.full(a.m)
@@ -190,9 +190,9 @@ def uniform_baseline(
     certificates are returned in trial order.
     """
     if not 1 <= size <= a.m:
-        raise SizeOutOfRange(f"size must be in 1..{a.m}, got {size}")
+        raise OrthoSubselectError(f"size must be in 1..{a.m}, got {size}")
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise OrthoSubselectError(f"trials must be >= 1, got {trials}")
 
     t = coherence(a).t
 

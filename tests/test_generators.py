@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ortho_subselect import (
-    NotPowerOfTwo,
     OrthoRowMatrix,
+    OrthoSubselectError,
     coherence,
     gen_random_ortho,
     gen_trig,
@@ -34,7 +34,7 @@ def test_walsh_entries_flat_and_coherent():
 
 
 def test_walsh_rejects_non_power_of_two():
-    with pytest.raises(NotPowerOfTwo):
+    with pytest.raises(OrthoSubselectError, match="M must be a power of 2, got 12"):
         gen_walsh(4, 12)
 
 

@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from ortho_subselect import (
-    EmptySubset,
-    IndexOutOfRange,
-    MatrixFormatError,
-    NotOrthonormal,
     OrthoRowMatrix,
-    RankDeficient,
+    OrthoSubselectError,
     SubsetIndex,
     deviation,
     orthonormalize_rows,
@@ -35,7 +31,7 @@ def _mgs_rows(m, tol: float = 1e-10) -> np.ndarray:
                 a[i] -= (a[j] @ a[i]) * a[j]
         norm = float(np.linalg.norm(a[i]))
         if norm <= tol:
-            raise RankDeficient(
+            raise OrthoSubselectError(
                 f"row {i + 1} is linearly dependent (residual norm {norm:.3e})"
             )
         a[i] /= norm
@@ -86,7 +82,7 @@ def test_orthonormalize_random_gaussian():
 
 
 def test_orthonormalize_rank_deficient_raises():
-    with pytest.raises(RankDeficient):
+    with pytest.raises(OrthoSubselectError, match="row 2 is linearly dependent"):
         orthonormalize_rows([[1.0, 2.0], [2.0, 4.0]])
 
 
@@ -107,9 +103,9 @@ def test_orthonormalize_matches_mgs_oracle(kind, n, m):
     "rows", [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0, 0.0], [1.0, 1e-13, 0.0]]]
 )
 def test_orthonormalize_and_oracle_reject_dependent_row(rows):
-    with pytest.raises(RankDeficient, match="row 2"):
+    with pytest.raises(OrthoSubselectError, match="row 2"):
         orthonormalize_rows(rows)
-    with pytest.raises(RankDeficient, match="row 2"):
+    with pytest.raises(OrthoSubselectError, match="row 2"):
         _mgs_rows(rows)
 
 
@@ -121,13 +117,18 @@ def test_orthonormalize_and_oracle_accept_small_residual():
 
 
 def test_ortho_row_matrix_rejects_bad_input():
-    with pytest.raises(NotOrthonormal):
+    def not_orthonormal(err):
+        return re.escape(
+            f"rows not orthonormal: max |A A^T - I| = {err} exceeds 1.000e-10"
+        )
+
+    with pytest.raises(OrthoSubselectError, match=not_orthonormal("1.000e+00")):
         OrthoRowMatrix(np.array([[1.0, 1.0]]))
-    with pytest.raises(NotOrthonormal):
+    with pytest.raises(OrthoSubselectError, match=not_orthonormal("4.000e+00")):
         OrthoRowMatrix(np.ones((2, 4)))  # equal rows
-    with pytest.raises(NotOrthonormal):
+    with pytest.raises(OrthoSubselectError, match=not_orthonormal("1.000e+00")):
         OrthoRowMatrix(np.diag([1.0, 1.0, 0.0]))  # rank 2, not orthonormal
-    with pytest.raises(NotOrthonormal):
+    with pytest.raises(OrthoSubselectError, match="need n <= M, got 3x2"):
         OrthoRowMatrix(np.ones((3, 2)))  # n > M
 
 
@@ -209,33 +210,34 @@ def test_gram_errors():
     a = _flat_row(0.5)
     # every consumer of a subset Gram rejects the empty subset the same way
     for fn in (deviation, certify):
-        with pytest.raises(EmptySubset, match="at least one column"):
+        with pytest.raises(OrthoSubselectError, match="at least one column"):
             fn(a, SubsetIndex((), 2))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(OrthoSubselectError, match=re.escape("in 1..2, got range [0, 1]")):
         SubsetIndex((0, 1), 2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(OrthoSubselectError, match=re.escape("in 1..2, got range [1, 3]")):
         SubsetIndex((1, 3), 2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(OrthoSubselectError, match="indices must be strictly increasing"):
         SubsetIndex((2, 1), 2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(OrthoSubselectError, match="over 1..3 but matrix has 2 columns"):
         deviation(a, SubsetIndex((1,), 3))  # width mismatch
 
 
 def test_subset_index_requires_flat_integers():
-    with pytest.raises(IndexOutOfRange):
+    flat = "indices must be flat integers, got "
+    with pytest.raises(OrthoSubselectError, match=flat + "float64"):
         SubsetIndex((1.7, 2.2), 4)  # int() would have truncated to (1, 2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(OrthoSubselectError, match=flat + "bool"):
         SubsetIndex((True, False), 4)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(OrthoSubselectError, match=flat + "int"):  # int32 on Windows
         SubsetIndex(((1, 2),), 4)
     i = SubsetIndex(np.array([2, 3], dtype=np.intp), 4)
     assert i == SubsetIndex((2, 3), 4)
     assert all(type(x) is int for x in i.indices)
     assert len(SubsetIndex((), 4)) == 0
     assert SubsetIndex.from_iterable({3, 1}, 4).indices == (1, 3)
-    with pytest.raises(IndexOutOfRange, match="duplicate index 2"):
+    with pytest.raises(OrthoSubselectError, match="duplicate index 2"):
         SubsetIndex.from_iterable([2, 1, 2], 4)
-    with pytest.raises(IndexOutOfRange, match="strictly increasing"):
+    with pytest.raises(OrthoSubselectError, match="strictly increasing"):
         SubsetIndex((2, 1, 1), 4)
 
 
@@ -300,7 +302,7 @@ def test_matrix_text_round_trip(tmp_path):
 def test_matrix_text_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(MatrixFormatError, match=re.escape(str(path))):
+    with pytest.raises(OrthoSubselectError, match=re.escape(str(path))):
         read_matrix_text(path)
 
 
@@ -352,8 +354,14 @@ def test_read_matrix_text_parses_tokens_like_float(tmp_path, token):
     except ValueError:
         value = None
     # the format is float()'s syntax without Python's digit-group underscores
-    if "_" in token or value is None or not math.isfinite(value):
-        with pytest.raises(MatrixFormatError):
+    if "_" in token:
+        with pytest.raises(OrthoSubselectError, match="'_' is not allowed in numbers"):
+            read_matrix_text(path)
+    elif value is None:
+        with pytest.raises(OrthoSubselectError, match=re.escape(f"float: {token!r}")):
+            read_matrix_text(path)
+    elif not math.isfinite(value):
+        with pytest.raises(OrthoSubselectError, match="matrix entries must be finite"):
             read_matrix_text(path)
     else:
         got = read_matrix_text(path)
@@ -364,16 +372,16 @@ def test_read_matrix_text_parses_tokens_like_float(tmp_path, token):
 def test_matrix_text_errors_name_the_defect(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 2\n1 2\n3 4 5\n")
-    with pytest.raises(MatrixFormatError, match="row 2 has 3 values"):
+    with pytest.raises(OrthoSubselectError, match="row 2 has 3 values"):
         read_matrix_text(path)
     path.write_text("2 2\n1 2\n3 x7\n")
-    with pytest.raises(MatrixFormatError, match="float: 'x7'"):
+    with pytest.raises(OrthoSubselectError, match="float: 'x7'"):
         read_matrix_text(path)
     path.write_text("2 2\n1 2\n3 nan\n")
-    with pytest.raises(MatrixFormatError, match="entries must be finite"):
+    with pytest.raises(OrthoSubselectError, match="entries must be finite"):
         read_matrix_text(path)
     path.write_text("1 2_0\n" + "0 " * 19 + "1\n")
-    with pytest.raises(MatrixFormatError, match="'_' is not allowed"):
+    with pytest.raises(OrthoSubselectError, match="'_' is not allowed"):
         read_matrix_text(path)
 
 
@@ -383,7 +391,7 @@ def test_matrix_text_header_overstating_m_is_reported_not_allocated(tmp_path):
     path = tmp_path / "lie.txt"
     path.write_text("1 1000000000000000\n1 0\n")
     message = f"{path}: row 1 has 2 values, expected 1000000000000000"
-    with pytest.raises(MatrixFormatError, match=re.escape(message)):
+    with pytest.raises(OrthoSubselectError, match=re.escape(message)):
         read_matrix_text(path)
 
 

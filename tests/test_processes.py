@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,12 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ortho_subselect import (
-    BadSignVector,
-    BadWeights,
-    NotOrthonormal,
     OrthoRowMatrix,
+    OrthoSubselectError,
     ProcessEstimate,
-    SamplingFailed,
     check_ball_convexity,
     check_quasi_triangle,
     child_seed,
@@ -124,11 +122,12 @@ def _ball_convexity_loop(samples, dim, rho, seed):
 def test_basis_validation():
     # The harnesses take the OrthoRowMatrix spanning W, which refuses a
     # non-orthonormal frame and the transposed (M x n column) layout.
-    with pytest.raises(NotOrthonormal):
+    not_orthonormal = re.escape("rows not orthonormal: max |A A^T - I| = 4.000e+00")
+    with pytest.raises(OrthoSubselectError, match=not_orthonormal):
         OrthoRowMatrix(np.ones((2, 4)))
-    with pytest.raises(NotOrthonormal):
+    with pytest.raises(OrthoSubselectError, match="need n <= M, got 4x2"):
         OrthoRowMatrix(np.ones((4, 2)))
-    with pytest.raises(NotOrthonormal):
+    with pytest.raises(OrthoSubselectError, match="need n <= M, got 4x2"):
         OrthoRowMatrix(np.eye(4, 2))
 
 
@@ -200,9 +199,9 @@ def test_sup_sample_dominates_brute_force():
 
 def test_sup_sample_rejects_bad_signs():
     a = OrthoRowMatrix(np.eye(1, 4))
-    with pytest.raises(BadSignVector):
+    with pytest.raises(OrthoSubselectError, match=r"need 4 signs, got shape \(3,\)"):
         sup_process_sample(a, np.ones(3))
-    with pytest.raises(BadSignVector):
+    with pytest.raises(OrthoSubselectError, match="signs must be exactly"):
         sup_process_sample(a, np.array([1.0, -1.0, 0.5, 1.0]))
 
 
@@ -328,9 +327,9 @@ def test_gaussian_sup_matches_per_trial_loop_on_dense_bases():
 
 def test_gaussian_sup_rejects_bad_weights():
     a = OrthoRowMatrix(np.eye(1, 8))
-    with pytest.raises(BadWeights):
+    with pytest.raises(OrthoSubselectError, match=r"need 8 weights, got shape \(7,\)"):
         gaussian_sup_estimates(a, [1.0] * 7, 10, seed=0)
-    with pytest.raises(BadWeights):
+    with pytest.raises(OrthoSubselectError, match="weights must be finite"):
         gaussian_sup_estimates(a, [math.nan] * 8, 10, seed=0)
 
 
@@ -524,7 +523,7 @@ def _ball_convexity_whole(samples: int, dim: int, rho: float, seed: int) -> floa
     )
     if failed.size:
         center = centers[failed[0] // hull_size]
-        raise SamplingFailed(
+        raise OrthoSubselectError(
             f"could not sample inside a radius-{rho} ball around "
             f"a point with max coordinate {np.max(np.abs(center)):.3g}"
         )
@@ -546,6 +545,9 @@ def test_ball_convexity_matches_whole_array_sampler(dim):
         assert check_ball_convexity(samples, dim, seed=samples) == want
 
 
+SAMPLING_FAILED = "could not sample inside a radius-0.3 ball around a point"
+
+
 def test_ball_convexity_failure_matches_whole_array_sampler(monkeypatch):
     # Points fail where their center has a coordinate beyond 3.3; at dim 32
     # and seed 5 the first such hull lies past the first hull group, so the
@@ -561,10 +563,10 @@ def test_ball_convexity_failure_matches_whole_array_sampler(monkeypatch):
 
     monkeypatch.setattr(proc, "_ball_points", far_centers_fail)
     samples = _hull_group_edges(32)[-1]
-    with pytest.raises(SamplingFailed) as want:
+    with pytest.raises(OrthoSubselectError, match=SAMPLING_FAILED) as want:
         _ball_convexity_whole(samples, 32, 0.3, seed=5)
     calls.clear()
-    with pytest.raises(SamplingFailed) as got:
+    with pytest.raises(OrthoSubselectError, match=SAMPLING_FAILED) as got:
         check_ball_convexity(samples, 32, seed=5)
     assert str(got.value) == str(want.value)
     assert len(calls) > 1
@@ -579,7 +581,7 @@ def test_ball_convexity_reports_sampler_failure(monkeypatch):
 
     monkeypatch.setattr(proc, "_ball_points", lambda c, *args: (c, np.arange(len(c))))
     first = make_rng(0).standard_normal(4)
-    with pytest.raises(SamplingFailed) as err:
+    with pytest.raises(OrthoSubselectError, match=SAMPLING_FAILED) as err:
         check_ball_convexity(10, 4, seed=0)
     assert str(err.value) == message(first)
 
@@ -591,7 +593,7 @@ def test_ball_convexity_reports_sampler_failure(monkeypatch):
         return centers, np.array([7, 11])
 
     monkeypatch.setattr(proc, "_ball_points", second_hull_fails)
-    with pytest.raises(SamplingFailed) as err:
+    with pytest.raises(OrthoSubselectError, match=SAMPLING_FAILED) as err:
         check_ball_convexity(24, 4, seed=0)
     assert str(err.value) == message(seen[0])
     assert str(err.value) != message(first)

@@ -1,15 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ortho_subselect import (
     HalvingStep,
-    IndexOutOfRange,
-    InvalidEpsilon,
     OrthoRowMatrix,
+    OrthoSubselectError,
     RetriesExhausted,
-    SizeOutOfRange,
     SubsetIndex,
     cardinality_window,
     certify,
@@ -60,15 +59,12 @@ def test_halve_step_zero_budget_exhausts():
 
 
 @pytest.mark.parametrize(
-    "kwargs, error",
-    [({"epsilon_budget": math.nan}, InvalidEpsilon),
-     ({"epsilon_budget": math.inf}, InvalidEpsilon),
-     ({"epsilon_budget": -0.5}, InvalidEpsilon),
-     ({"max_retries": 0}, ValueError),
-     ({"max_retries": -3}, ValueError)],
+    "kwargs",
+    [{"epsilon_budget": math.nan}, {"epsilon_budget": math.inf},
+     {"epsilon_budget": -0.5}, {"max_retries": 0}, {"max_retries": -3}],
     ids=["nan", "inf", "negative", "zero-retries", "negative-retries"],
 )
-def test_halve_step_rejects_bad_budget_and_retries(monkeypatch, kwargs, error):
+def test_halve_step_rejects_bad_budget_and_retries(monkeypatch, kwargs):
     draws = []
 
     def counted(*args):
@@ -78,7 +74,7 @@ def test_halve_step_rejects_bad_budget_and_retries(monkeypatch, kwargs, error):
     monkeypatch.setattr(selection, "trial_rngs", counted)
     (_, value), = kwargs.items()
     args = {"epsilon_budget": 0.5, **kwargs}
-    with pytest.raises(error, match=f"must be .*, got {value}"):
+    with pytest.raises(OrthoSubselectError, match=f"must be .*, got {value}"):
         halve_step(gen_walsh(4, 16), SubsetIndex.full(16), seed=0, **args)
     assert draws == []
 
@@ -114,9 +110,10 @@ def test_select_min_size_full_keeps_everything():
 def test_select_rejects_bad_epsilon():
     a = gen_walsh(2, 4)
     for eps in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(InvalidEpsilon):
+        message = re.escape(f"epsilon must be in (0, 1), got {eps}")
+        with pytest.raises(OrthoSubselectError, match=message):
             select_subset(a, eps, seed=0)
-    with pytest.raises(SizeOutOfRange):
+    with pytest.raises(OrthoSubselectError, match="min_size must be >= 1, got 0"):
         select_subset(a, 0.5, seed=0, min_size=0)
 
 
@@ -196,9 +193,9 @@ def test_uniform_baseline_flat_single_row():
 
 def test_uniform_baseline_validation_and_determinism():
     a = gen_walsh(4, 16)
-    with pytest.raises(SizeOutOfRange):
+    with pytest.raises(OrthoSubselectError, match="size must be in 1..16, got 0"):
         uniform_baseline(a, 0, seed=0, trials=1)
-    with pytest.raises(SizeOutOfRange):
+    with pytest.raises(OrthoSubselectError, match="size must be in 1..16, got 17"):
         uniform_baseline(a, 17, seed=0, trials=1)
     first = uniform_baseline(a, 6, seed=9, trials=4)
     second = uniform_baseline(a, 6, seed=9, trials=4)
@@ -350,7 +347,7 @@ def test_halve_step_checks_parent_width_before_drawing(monkeypatch):
 
     monkeypatch.setattr(selection, "trial_rngs", counted)
     a = gen_walsh(4, 16)
-    with pytest.raises(IndexOutOfRange, match="over 1..32"):
+    with pytest.raises(OrthoSubselectError, match="over 1..32"):
         halve_step(a, SubsetIndex.full(32), 0.5, seed=0)
     assert draws == []
 
