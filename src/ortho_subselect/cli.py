@@ -447,9 +447,9 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         return args.func(args)
-    # OrthoSubselectError is a ValueError; so are numpy's own rejections,
-    # such as gen --seed -1
     except (ValueError, OSError) as exc:
+        # OrthoSubselectError is a ValueError; so are numpy's own rejections,
+        # such as gen --seed -1
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -163,7 +163,7 @@ def build_env() -> dict:
         blas = config["Build Dependencies"]["blas"]
         blas_build = blas.get("openblas configuration") or f"{blas['name']} {blas['version']}"
         simd = config.get("SIMD Extensions", {}).get("found", [])
-    except Exception as exc:  # numpy < 1.26 has no mode="dicts"
+    except (TypeError, KeyError) as exc:  # numpy < 1.26 has no mode="dicts"
         blas_build, simd = f"unknown ({type(exc).__name__})", []
     return {"numpy": np.__version__, "blas": blas_build, "cpu_simd": list(simd)}
 
