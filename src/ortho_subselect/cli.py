@@ -448,8 +448,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        # OrthoSubselectError is a ValueError; so are numpy's own rejections,
-        # such as gen --seed -1
+        # OrthoSubselectError is a ValueError; so are numpy's own rejections
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

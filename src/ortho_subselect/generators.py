@@ -66,8 +66,10 @@ def gen_trig(n: int, m: int) -> OrthoRowMatrix:
 
 def gen_random_ortho(n: int, m: int, seed: int) -> OrthoRowMatrix:
     """Orthonormal basis of the row space of a seeded n x M Gaussian sample,
-    by :func:`orthonormalize_rows`. Deterministic for a given seed."""
+    by :func:`orthonormalize_rows`. Deterministic for a given seed >= 0."""
     _check_shape(n, m)
+    if seed < 0:  # numpy's own rejection does not name the seed
+        raise OrthoSubselectError(f"seed must be >= 0, got {seed}")
     return orthonormalize_rows(make_rng(seed).standard_normal((n, m)))
 
 

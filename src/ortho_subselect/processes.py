@@ -129,8 +129,9 @@ def gaussian_sup_estimates(
         # zip takes the rows first, so it draws one generator per row
         for row, rng in zip(g[: stop - start], rngs):
             rng.standard_normal(out=row)
-        # einsum without ``optimize`` stays off threaded BLAS, whose idle
-        # workers spin for longer than these small contractions take
+        # einsum without ``optimize`` sums in its own loops, off BLAS, so the
+        # rounding of these lines does not depend on the BLAS build or its
+        # thread count
         proj = np.einsum("tn,mn->tm", np.einsum("tm,mn->tn", g[: stop - start], u), u)
         inf_vals[start:stop] = np.max(np.abs(proj), axis=1)
         wvals[start:stop] = np.sqrt(np.sum(proj * proj * wt * wt, axis=1))

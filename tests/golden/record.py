@@ -3,7 +3,8 @@
 Each record holds the argv, the input files it runs on and what the run
 produced: exit code, stdout, stderr and every file it wrote, plus a SHA-256
 of those exact bytes and the numpy/BLAS build that produced them.
-``tests/test_golden.py`` replays every record in-process and compares.
+``tests/test_golden.py`` replays every record in-process, and a few through a
+CLI process of their own, and compares.
 
 Rewrite the records with
 
@@ -22,6 +23,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -135,7 +137,7 @@ CASES: dict[str, dict] = {
         "argv": ["select", "--input", "walsh.txt", "--epsilon", "1", "--output", "cert.json"],
         "inputs": WALSH,
     },
-    # gen argument errors; a negative seed is rejected by numpy itself
+    # gen argument errors
     "gen_walsh_m12": {
         "argv": ["gen", "--kind", "walsh", "--n", "4", "--M", "12", "--output", "w.txt"],
     },
@@ -195,27 +197,47 @@ def write_inputs(inputs: dict, workdir: Path, cache: Path) -> None:
             shutil.copyfile(cached, workdir / name)
 
 
-def run_case(case: dict, workdir: Path, cache: Path) -> dict:
-    """Run one case through ``cli.main`` in ``workdir``; returns its outputs."""
-    from ortho_subselect import cli
+def run_cli_process(argv: list[str], workdir: Path) -> tuple[int, str, str]:
+    """Run ``python -m ortho_subselect`` in a fresh interpreter, with this
+    package first on its path and OPENBLAS_THREAD_TIMEOUT left to the
+    package's default."""
+    import ortho_subselect
 
+    env = dict(os.environ)
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    src = str(Path(ortho_subselect.__file__).resolve().parents[1])
+    path = [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src]
+    env["PYTHONPATH"] = os.pathsep.join(path)
+    proc = subprocess.run([sys.executable, "-m", "ortho_subselect", *argv], cwd=workdir,
+                          env=env, capture_output=True, encoding="utf-8", timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_case(case: dict, workdir: Path, cache: Path, process: bool = False) -> dict:
+    """Run one case in ``workdir`` through ``cli.main``, or with ``process``
+    through a CLI process of its own; returns its outputs."""
     inputs = case.get("inputs", {})
     write_inputs(inputs, workdir, cache)
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(case["argv"])
-    finally:
-        os.chdir(cwd)
+    if process:
+        code, stdout, stderr = run_cli_process(case["argv"], workdir)
+    else:
+        from ortho_subselect import cli
+
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(workdir)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(case["argv"])
+        finally:
+            os.chdir(cwd)
+        stdout, stderr = out.getvalue(), err.getvalue()
     files = {
         p.name: p.read_text(encoding="ascii")
         for p in sorted(workdir.iterdir())
         if p.name not in inputs
     }
-    return {"exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
-            "files": files}
+    return {"exit_code": code, "stdout": stdout, "stderr": stderr, "files": files}
 
 
 def load_record(name: str) -> dict:

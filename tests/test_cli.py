@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -7,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import ortho_subselect
 from ortho_subselect import (
     OrthoRowMatrix,
     cli,
@@ -59,6 +61,41 @@ def test_gen_random_is_deterministic(tmp_path):
     assert r1.returncode == r2.returncode == 0
     assert a.read_bytes() == b.read_bytes()
     assert r1.stdout == r2.stdout
+
+
+@pytest.mark.parametrize("kind, code", [("random", 1), ("walsh", 0), ("trig", 0)])
+def test_gen_negative_seed_is_rejected_only_where_it_is_used(tmp_path, kind, code):
+    res = run_cli("gen", "--kind", kind, "--n", "2", "--M", "4", "--seed", "-1",
+                  "--output", str(tmp_path / "m.txt"))
+    assert res.returncode == code
+    assert res.stderr == ("error: seed must be >= 0, got -1\n" if code else "")
+
+
+# records the BLAS spin setting at the moment numpy is first looked up
+NUMPY_IMPORT_SPY = """
+import importlib.abc, os, sys
+assert "numpy" not in sys.modules
+seen = []
+class Spy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, Spy())
+import ortho_subselect
+print(seen)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "30"])
+def test_blas_thread_timeout_is_set_before_numpy_loads(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    res = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_SPY], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    want = preset or ortho_subselect._OPENBLAS_THREAD_TIMEOUT
+    assert res.stdout == f"{[want]}\n"
 
 
 def test_usage_errors_exit_2(tmp_path):

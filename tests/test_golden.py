@@ -7,6 +7,11 @@ written as a float on either side is compared at a relative tolerance of
 that is exactly 0 (a rank-deficient Gram's lambda_min, the deviation of the
 full column set). The exact bytes are compared through their SHA-256 only
 where numpy, its BLAS build and the CPU features match the record's.
+
+Every in-process replay runs after pytest has loaded numpy, so the package's
+OPENBLAS_THREAD_TIMEOUT default never takes effect there. PROCESS_NAMES are
+replayed once more, each through a CLI process of its own that starts with
+the variable unset.
 """
 
 import math
@@ -24,6 +29,8 @@ from golden.record import (
 )
 
 NAMES = record_names()
+PROCESS_NAMES = ["verify_all_seed0", "study_walsh_n128", "select_trig_seed1",
+                 "certify_trig_seed1"]
 OUTPUT_KEYS = ("exit_code", "stdout", "stderr", "files")
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 REL_TOL = 1e-12
@@ -32,14 +39,17 @@ ABS_TOL = 1e-13
 
 @pytest.fixture(scope="module")
 def replay(tmp_path_factory):
-    """Run each record once; both checks below read the same outputs."""
+    """Run each record once per mode; the record and exact-bytes checks of a
+    mode read the same outputs."""
     cache = tmp_path_factory.mktemp("golden_inputs")
     done = {}
 
-    def run(name):
-        if name not in done:
-            done[name] = run_case(load_record(name), tmp_path_factory.mktemp(name), cache)
-        return done[name]
+    def run(name, process=False):
+        if (name, process) not in done:
+            done[name, process] = run_case(
+                load_record(name), tmp_path_factory.mktemp(name), cache, process
+            )
+        return done[name, process]
 
     return run
 
@@ -68,12 +78,9 @@ def test_every_case_has_its_record():
         assert record["inputs"] == CASES[name].get("inputs", {}), name
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_golden_record(replay, name):
-    record = load_record(name)
+def assert_matches_record(got: dict, record: dict) -> None:
     # the stored texts are the bytes the record's hash was taken over
     assert output_sha256({k: record[k] for k in OUTPUT_KEYS}) == record["sha256"]
-    got = replay(name)
     assert got["exit_code"] == record["exit_code"]
     assert list(got["files"]) == list(record["files"])
     assert_text_close(got["stdout"], record["stdout"], "stdout")
@@ -82,11 +89,32 @@ def test_golden_record(replay, name):
         assert_text_close(got["files"][fname], text, fname)
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_golden_exact_bytes(replay, name):
-    record = load_record(name)
+def skip_unless_recorded_build(record: dict) -> None:
     env = build_env()
     if env != record["env"]:
         diff = {k: (env.get(k), v) for k, v in record["env"].items() if env.get(k) != v}
         pytest.skip(f"build differs from the record's (now, recorded): {diff}")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_golden_record(replay, name):
+    assert_matches_record(replay(name), load_record(name))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_golden_exact_bytes(replay, name):
+    record = load_record(name)
+    skip_unless_recorded_build(record)
     assert output_sha256(replay(name)) == record["sha256"]
+
+
+@pytest.mark.parametrize("name", PROCESS_NAMES)
+def test_golden_record_cli_process(replay, name):
+    assert_matches_record(replay(name, process=True), load_record(name))
+
+
+@pytest.mark.parametrize("name", PROCESS_NAMES)
+def test_golden_exact_bytes_cli_process(replay, name):
+    record = load_record(name)
+    skip_unless_recorded_build(record)
+    assert output_sha256(replay(name, process=True)) == record["sha256"]
