@@ -26,7 +26,6 @@ from .generators import CoherenceReport, coherence, gen_random_ortho, gen_trig, 
 from .linalg import (
     OrthoRowMatrix,
     SubsetIndex,
-    deviation,
     orthonormalize_rows,
     read_matrix_text,
     write_matrix_text,
@@ -38,7 +37,6 @@ from .processes import (
     estimate_process,
     gaussian_sup_estimates,
     proj_l1_l2_norm,
-    sup_process_sample,
 )
 from .rng import child_seed, make_rng, rademacher
 from .selection import (

@@ -75,7 +75,11 @@ class SubsetIndex:
 
     def __post_init__(self):
         idx = np.asarray(self.indices)
-        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        if idx.ndim == 1 and idx.dtype.kind in "fO" and all(
+            type(x) is int for x in self.indices
+        ):  # ints beyond int64, which numpy holds as floats or objects
+            idx = np.asarray(self.indices, dtype=object)
+        elif idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
             raise OrthoSubselectError(f"indices must be flat integers, got {idx.dtype}")
         bad = idx[1:] <= idx[:-1]
         if np.any(bad):
@@ -93,7 +97,7 @@ class SubsetIndex:
     @classmethod
     def from_iterable(cls, indices, m: int) -> "SubsetIndex":
         """Sort ``indices`` and build a subset; duplicates are rejected."""
-        return cls(np.sort(list(indices)), m)
+        return cls(tuple(sorted(indices)), m)
 
     @classmethod
     def full(cls, m: int) -> "SubsetIndex":
@@ -142,17 +146,6 @@ def _gram_extremes(a: OrthoRowMatrix, cols: np.ndarray) -> tuple[float, float, f
     w = np.linalg.eigvalsh((a.m / len(cols)) * (x @ x.T))
     lo, hi = float(w[0]), float(w[-1])
     return lo, hi, max(hi - 1.0, 1.0 - lo)
-
-
-def deviation(a: OrthoRowMatrix, i: SubsetIndex) -> float:
-    """Spectral deviation of the rescaled subset Gram matrix from identity.
-
-    Returns ``|| (M/|I|) A_I A_I^T - I ||_2``. A value <= eps certifies
-    that sqrt(M/|I|) times the restriction to I of A^T x distorts every
-    norm by a factor inside [1-eps, 1+eps].
-    """
-    _check_subset(a, i)
-    return _gram_extremes(a, i.zero_based())[2]
 
 
 def write_matrix_text(path, m) -> None:

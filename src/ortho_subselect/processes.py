@@ -58,22 +58,13 @@ def proj_l1_l2_norm(a: OrthoRowMatrix) -> float:
     return float(np.max(np.linalg.norm(a.mat, axis=0)))
 
 
-def sup_process_sample(a: OrthoRowMatrix, signs) -> float:
-    """Supremum over unit w in W of |sum_i signs_i * w(i)^2|.
-
-    Writing w = A^T y reduces the supremum to the spectral norm of
-    S = A diag(signs) A^T, computed by the LAPACK symmetric eigensolver.
-    """
-    s = np.asarray(signs, dtype=np.float64)
-    if s.shape != (a.m,):
-        raise OrthoSubselectError(f"need {a.m} signs, got shape {s.shape}")
-    if not np.all(np.abs(s) == 1.0):
-        raise OrthoSubselectError("signs must be exactly +-1")
-    return _sign_sup(a.mat.T, s)
-
-
 def _sign_sup(u: np.ndarray, s: np.ndarray) -> float:
-    """sup_process_sample on the C-ordered basis u = A^T, without checks."""
+    """Supremum over unit w in W of |sum_i s_i * w(i)^2|, unchecked.
+
+    ``u`` is the C-ordered basis A^T and ``s`` holds M signs, each +-1.
+    Writing w = A^T y reduces the supremum to the spectral norm of
+    S = A diag(s) A^T, computed by the LAPACK symmetric eigensolver.
+    """
     core = (u * s[:, None]).T @ u
     ev = np.linalg.eigvalsh(0.5 * (core + core.T))  # symmetrized exactly
     return max(abs(float(ev[0])), abs(float(ev[-1])))

@@ -157,9 +157,25 @@ CASES: dict[str, dict] = {
 }
 
 
+def blas_threads() -> int:
+    """The BLAS thread count as OpenBLAS derives it when numpy loads: the
+    first positive OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS,
+    capped at the number of CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return min(threads, cpus)
+    return cpus
+
+
 def build_env() -> dict:
-    """numpy version, BLAS build and CPU features: the exact bytes are
-    compared only on a machine where all three match the record's."""
+    """numpy version, BLAS build, BLAS thread count and CPU features: the
+    exact bytes are compared only on a machine where all four match the
+    record's. (gen_trig's QR rounds differently under another thread count.)"""
     try:
         config = np.show_config(mode="dicts")
         blas = config["Build Dependencies"]["blas"]
@@ -167,7 +183,8 @@ def build_env() -> dict:
         simd = config.get("SIMD Extensions", {}).get("found", [])
     except (TypeError, KeyError) as exc:  # numpy < 1.26 has no mode="dicts"
         blas_build, simd = f"unknown ({type(exc).__name__})", []
-    return {"numpy": np.__version__, "blas": blas_build, "cpu_simd": list(simd)}
+    return {"numpy": np.__version__, "blas": blas_build, "blas_threads": blas_threads(),
+            "cpu_simd": list(simd)}
 
 
 def output_sha256(outputs: dict) -> str:

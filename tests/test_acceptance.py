@@ -22,7 +22,6 @@ from ortho_subselect import (
     check_ball_convexity,
     check_quasi_triangle,
     child_seed,
-    deviation,
     estimate_process,
     gaussian_sup_estimates,
     gen_random_ortho,
@@ -70,7 +69,7 @@ def test_criterion_01_exact_isometry_baseline():
                 mats = [gen_walsh(n, m), gen_trig(n, m),
                         gen_random_ortho(n, m, seed=n + factor)]
                 for a in mats:
-                    assert deviation(a, SubsetIndex.full(m)) <= 1e-10
+                    assert certify(a, SubsetIndex.full(m)).epsilon_achieved <= 1e-10
 
 
 def test_criterion_02_certificate_soundness():
@@ -163,7 +162,7 @@ def test_criterion_08_exhaustive_oracle_on_tiny_instances():
             for size in range(1, 9):
                 for combo in itertools.combinations(range(1, 9), size):
                     subset = SubsetIndex(combo, 8)
-                    dev = deviation(a, subset)
+                    dev = certify(a, subset).epsilon_achieved
                     devs[combo] = dev
                     if dev <= eps and best is None:
                         best = size
@@ -173,7 +172,7 @@ def test_criterion_08_exhaustive_oracle_on_tiny_instances():
             cert, _ = select_subset(a, eps, seed=seed)
             assert len(cert.subset) >= best
             # the certificate must agree exactly with the exhaustive pass
-            recomputed = deviation(a, cert.subset)
+            recomputed = certify(a, cert.subset).epsilon_achieved
             assert cert.epsilon_achieved == recomputed
             again = certify(a, cert.subset)
             assert (again.lambda_min, again.lambda_max) == (

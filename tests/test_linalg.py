@@ -9,12 +9,12 @@ from ortho_subselect import (
     OrthoRowMatrix,
     OrthoSubselectError,
     SubsetIndex,
-    deviation,
     orthonormalize_rows,
     read_matrix_text,
     write_matrix_text,
 )
 from ortho_subselect import generators
+from ortho_subselect.cli import parse_subset_spec
 from ortho_subselect.generators import gen_trig
 from ortho_subselect.linalg import ORTHO_TOL
 from ortho_subselect.selection import certify
@@ -208,10 +208,8 @@ def test_gram_additive_over_disjoint_subsets():
 
 def test_gram_errors():
     a = _flat_row(0.5)
-    # every consumer of a subset Gram rejects the empty subset the same way
-    for fn in (deviation, certify):
-        with pytest.raises(OrthoSubselectError, match="at least one column"):
-            fn(a, SubsetIndex((), 2))
+    with pytest.raises(OrthoSubselectError, match="at least one column"):
+        certify(a, SubsetIndex((), 2))
     with pytest.raises(OrthoSubselectError, match=re.escape("in 1..2, got range [0, 1]")):
         SubsetIndex((0, 1), 2)
     with pytest.raises(OrthoSubselectError, match=re.escape("in 1..2, got range [1, 3]")):
@@ -219,10 +217,10 @@ def test_gram_errors():
     with pytest.raises(OrthoSubselectError, match="indices must be strictly increasing"):
         SubsetIndex((2, 1), 2)
     with pytest.raises(OrthoSubselectError, match="over 1..3 but matrix has 2 columns"):
-        deviation(a, SubsetIndex((1,), 3))  # width mismatch
+        certify(a, SubsetIndex((1,), 3))  # width mismatch
 
 
-def test_subset_index_requires_flat_integers():
+def test_subset_index_requires_flat_integers(tmp_path):
     flat = "indices must be flat integers, got "
     with pytest.raises(OrthoSubselectError, match=flat + "float64"):
         SubsetIndex((1.7, 2.2), 4)  # int() would have truncated to (1, 2)
@@ -230,6 +228,16 @@ def test_subset_index_requires_flat_integers():
         SubsetIndex((True, False), 4)
     with pytest.raises(OrthoSubselectError, match=flat + "int"):  # int32 on Windows
         SubsetIndex(((1, 2),), 4)
+    with pytest.raises(OrthoSubselectError, match=flat + "object"):
+        SubsetIndex((1.5, 10**20), 4)
+    # ints past int64 reach the range check, inline and from a JSON file
+    huge = "99999999999999999999"
+    (tmp_path / "huge.json").write_text(f"[1, {huge}]", encoding="ascii")
+    for spec, lo, hi in ((huge, huge, huge), (str(tmp_path / "huge.json"), 1, huge),
+                         (f"5,{2**63}", 5, 2**63)):
+        with pytest.raises(OrthoSubselectError,
+                           match=re.escape(f"in 1..4, got range [{lo}, {hi}]")):
+            parse_subset_spec(spec, 4)
     i = SubsetIndex(np.array([2, 3], dtype=np.intp), 4)
     assert i == SubsetIndex((2, 3), 4)
     assert all(type(x) is int for x in i.indices)
@@ -244,18 +252,18 @@ def test_subset_index_requires_flat_integers():
 def test_deviation_full_set_is_zero():
     rng = np.random.default_rng(4)
     a = orthonormalize_rows(rng.standard_normal((5, 17)))
-    assert deviation(a, SubsetIndex.full(17)) <= 1e-10
+    assert certify(a, SubsetIndex.full(17)).epsilon_achieved <= 1e-10
 
 
 def test_deviation_flat_half_is_exact():
     # 2 * (1/sqrt(2))^2 - 1 is zero up to one rounding of the square
     a = _flat_row(0.5)
-    assert deviation(a, SubsetIndex((1,), 2)) <= 1e-12
+    assert certify(a, SubsetIndex((1,), 2)).epsilon_achieved <= 1e-12
 
 
 def test_deviation_single_column_value():
     a = _flat_row(0.8)
-    assert abs(deviation(a, SubsetIndex((1,), 2)) - 0.6) <= 1e-12
+    assert abs(certify(a, SubsetIndex((1,), 2)).epsilon_achieved - 0.6) <= 1e-12
 
 
 def test_deviation_invariant_under_column_permutation():
@@ -267,7 +275,8 @@ def test_deviation_invariant_under_column_permutation():
     moved = SubsetIndex.from_iterable(
         [int(np.where(perm == j - 1)[0][0]) + 1 for j in subset.indices], 10
     )
-    assert abs(deviation(a, subset) - deviation(b, moved)) <= 1e-12
+    dev = certify(a, subset).epsilon_achieved
+    assert abs(dev - certify(b, moved).epsilon_achieved) <= 1e-12
 
 
 def test_matrix_text_round_trip(tmp_path):

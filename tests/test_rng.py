@@ -100,11 +100,11 @@ def test_public_names_are_pinned():
         "OrthoSubselectError", "ProcessEstimate", "RetriesExhausted",
         "SelectionTrace", "SubsetIndex",
         "cardinality_window", "certify", "check_ball_convexity",
-        "check_quasi_triangle", "child_seed", "coherence", "deviation",
+        "check_quasi_triangle", "child_seed", "coherence",
         "estimate_process", "gaussian_sup_estimates", "gen_random_ortho", "gen_trig",
         "gen_walsh", "halve_step", "make_rng", "orthonormalize_rows",
         "proj_l1_l2_norm", "rademacher", "read_matrix_text", "select_subset",
-        "sup_process_sample", "uniform_baseline", "write_matrix_text",
+        "uniform_baseline", "write_matrix_text",
     ]
 
 

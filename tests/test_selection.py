@@ -14,7 +14,6 @@ from ortho_subselect import (
     certify,
     child_seed,
     coherence,
-    deviation,
     gen_random_ortho,
     gen_trig,
     gen_walsh,
@@ -89,7 +88,7 @@ def test_halve_step_records_accepting_draw():
     keep = rng.integers(0, 2, size=16).astype(bool)
     replay = tuple(int(x) for x in (np.arange(1, 17)[keep]))
     assert replay == child.indices
-    assert deviation(a, child) == step.deviation_after
+    assert certify(a, child).epsilon_achieved == step.deviation_after
 
 
 def test_select_flat_pair_reaches_singleton():
@@ -292,7 +291,7 @@ def test_select_zero_kappa_is_legal():
 
 def _per_draw_halve_step(a, parent, epsilon_budget, seed, max_retries=64):
     """Reference oracle: halve_step as it was before its draws became index
-    arrays, with a validated SubsetIndex and a public deviation per draw."""
+    arrays, with a validated SubsetIndex and a public certificate per draw."""
     p = len(parent)
     lo, hi = cardinality_window(p)
     parent_arr = np.asarray(parent.indices, dtype=np.intp)
@@ -303,7 +302,7 @@ def _per_draw_halve_step(a, parent, epsilon_budget, seed, max_retries=64):
         if size < 1 or size < lo or size > hi:
             continue
         child = SubsetIndex(parent_arr[keep], parent.m)
-        dev = deviation(a, child)
+        dev = certify(a, child).epsilon_achieved
         if dev <= epsilon_budget:
             return child, HalvingStep(p, size, dev, retry, seed)
     raise RetriesExhausted(
@@ -379,7 +378,7 @@ def test_select_subset_pins_trig_trajectories(
 
 
 def test_selection_grams_match_row_major_layout(monkeypatch, trig_32x16384):
-    # deviation on the column-major A equals eigvalsh of the Gram gathered
+    # certify on the column-major A equals eigvalsh of the Gram gathered
     # from a row-major copy, bit for bit, for every subset a selection tries
     seen = []
     gram_extremes = selection._gram_extremes
@@ -399,12 +398,12 @@ def test_selection_grams_match_row_major_layout(monkeypatch, trig_32x16384):
         x = np.ascontiguousarray(a.mat)[:, cols]
         w = np.linalg.eigvalsh((a.m / len(cols)) * (x @ x.T))
         dev = max(float(w[-1]) - 1.0, 1.0 - float(w[0]))
-        assert deviation(a, SubsetIndex(cols + 1, a.m)) == dev
+        assert certify(a, SubsetIndex(cols + 1, a.m)).epsilon_achieved == dev
 
 
 @pytest.mark.parametrize("gen", [gen_walsh, gen_trig], ids=["walsh", "trig"])
 def test_study_grams_are_exactly_symmetric(monkeypatch, gen):
-    # every Gram a study evaluates is exactly symmetric, and deviation equals
+    # every Gram a study evaluates is exactly symmetric, and certify equals
     # eigvalsh of the scaled Gram formed here, bit for bit
     seen = []
     gram_extremes = selection._gram_extremes
@@ -426,4 +425,4 @@ def test_study_grams_are_exactly_symmetric(monkeypatch, gen):
         assert np.array_equal(g, g.T)
         w = np.linalg.eigvalsh((a.m / len(cols)) * g)
         dev = max(float(w[-1]) - 1.0, 1.0 - float(w[0]))
-        assert deviation(a, SubsetIndex(cols + 1, a.m)) == dev
+        assert certify(a, SubsetIndex(cols + 1, a.m)).epsilon_achieved == dev
