@@ -447,8 +447,9 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        # OrthoSubselectError is a ValueError; so are numpy's own rejections
+    except (ValueError, OSError, MemoryError) as exc:
+        # OrthoSubselectError is a ValueError; so are numpy's own rejections.
+        # A shape too large to allocate raises numpy's MemoryError.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

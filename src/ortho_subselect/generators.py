@@ -1,8 +1,11 @@
 """Instance generators and the column-coherence report.
 
 Three families of orthonormal-row matrices: flat +-1/sqrt(M) sign matrices
-(Sylvester order, M a power of two), and trigonometric rows (any M) and
-seeded Gaussian row spaces, both orthonormalized by QR.
+(Sylvester order, M a power of two), trigonometric rows (any M), which are
+orthogonal as sampled and only normalized, and seeded Gaussian row spaces,
+orthonormalized by QR. That QR is the one BLAS result written out, so only
+``gen_random_ortho``'s bytes can depend on the BLAS thread count (at large
+shapes).
 """
 
 from __future__ import annotations
@@ -49,8 +52,14 @@ def gen_walsh(n: int, m: int) -> OrthoRowMatrix:
 
 
 def gen_trig(n: int, m: int) -> OrthoRowMatrix:
-    """Sampled constant/cosine/sine rows at frequencies 0..ceil(n/2),
-    orthonormalized by QR so any M works."""
+    """Sampled constant/cosine/sine rows at frequencies 0..ceil(n/2), each
+    divided by its norm, so any M works.
+
+    For n <= M the frequencies stay below the Nyquist frequency M/2, so the
+    rows are orthogonal in exact arithmetic and need no QR; the norms come
+    from numpy's own reduction, not BLAS, so the bytes do not depend on the
+    BLAS thread count.
+    """
     _check_shape(n, m)
     j = np.arange(m)
     rows = np.empty((n, m))
@@ -61,7 +70,10 @@ def gen_trig(n: int, m: int) -> OrthoRowMatrix:
             rows[k] = np.cos(2.0 * np.pi * ((k + 1) // 2) * j / m)
         else:
             rows[k] = np.sin(2.0 * np.pi * (k // 2) * j / m)
-    return orthonormalize_rows(rows)
+    norms = np.sqrt(np.sum(rows * rows, axis=1))
+    out = np.empty((n, m), order="F")  # the layout OrthoRowMatrix stores
+    np.divide(rows, norms[:, None], out=out)
+    return OrthoRowMatrix(out)
 
 
 def gen_random_ortho(n: int, m: int, seed: int) -> OrthoRowMatrix:

@@ -1,3 +1,4 @@
+import filecmp
 import json
 import math
 import os
@@ -61,6 +62,43 @@ def test_gen_random_is_deterministic(tmp_path):
     assert r1.returncode == r2.returncode == 0
     assert a.read_bytes() == b.read_bytes()
     assert r1.stdout == r2.stdout
+
+
+def test_gen_trig_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the trig rows are only normalized; a BLAS QR would round per thread count
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def run_gen_trig(out, env):
+        res = subprocess.run(CMD + ["gen", "--kind", "trig", "--n", "32", "--M", "16384",
+                                    "--output", str(out)],
+                             env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        return res.stdout
+
+    one, unset = tmp_path / "one.txt", tmp_path / "unset.txt"
+    one_stdout = run_gen_trig(one, {**env, "OPENBLAS_NUM_THREADS": "1"})
+    unset_stdout = run_gen_trig(unset, env)
+    assert filecmp.cmp(one, unset, shallow=False)
+    assert one_stdout == unset_stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "walsh", "--n", "2", "--M", "1099511627776", "--output", "w.txt"],
+    ["study", "--kind", "walsh", "--n-list", "8", "--m-factor", "1099511627776",
+     "--epsilon", "0.5", "--trials", "1", "--output", "s.csv"],
+])
+def test_a_shape_too_large_to_allocate_is_an_error_line(monkeypatch, capsys, tmp_path, argv):
+    # never allocate here: an overcommitting host may grant the real request
+    message = "Unable to allocate 16.0 TiB for an array with shape (2, 1099511627776)"
+
+    def too_large(n, m):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "gen_walsh", too_large)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("kind, code", [("random", 1), ("walsh", 0), ("trig", 0)])

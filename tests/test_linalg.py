@@ -54,13 +54,6 @@ def _float_loop_read(path) -> np.ndarray:
     return np.asarray([[float(f) for f in ln.split()] for ln in lines[1:]])
 
 
-def _raw_trig_rows(n: int, m: int) -> np.ndarray:
-    """The rows gen_trig hands to orthonormalize_rows."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(generators, "orthonormalize_rows", np.array)
-        return gen_trig(n, m)
-
-
 def test_orthonormalize_identity_is_fixed_point():
     a = orthonormalize_rows(np.eye(2))
     np.testing.assert_allclose(a.mat, np.eye(2), atol=1e-15)
@@ -92,11 +85,14 @@ def test_orthonormalize_rank_deficient_raises():
 )
 def test_orthonormalize_matches_mgs_oracle(kind, n, m):
     if kind == "trig":
-        rows = _raw_trig_rows(n, m)
+        # orthogonal rows of distinct norms, which orthonormalizing only rescales
+        rows = gen_trig(n, m).mat * np.arange(1.0, n + 1)[:, None]
     else:
         rows = np.random.default_rng(n).standard_normal((n, m))
     got = orthonormalize_rows(rows).mat
     np.testing.assert_allclose(got, _mgs_rows(rows), rtol=0.0, atol=1e-12)
+    if kind == "trig":
+        np.testing.assert_allclose(got, gen_trig(n, m).mat, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
