@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import sys
 from dataclasses import astuple, dataclass
@@ -440,6 +441,16 @@ def _parse_args(argv) -> argparse.Namespace:
     if args.command == "verify" and args.suite in ("process", "all") and args.trials == 1:
         # the process suite's standard errors need two trials
         parser.error("argument --trials: the process suite needs at least 2")
+    if args.command == "select":
+        # select writes --output and then --trace, so a shared path would
+        # lose the input matrix or the certificate
+        seen = {}
+        for flag in ("--input", "--output", "--trace"):
+            path = getattr(args, flag[2:])
+            if path is not None:
+                first = seen.setdefault(os.path.realpath(path), flag)
+                if first != flag:
+                    parser.error(f"argument {flag}: same file as {first}")
     return args
 
 

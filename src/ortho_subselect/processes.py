@@ -12,14 +12,13 @@ Every sampler draws and reduces in chunks of at most ``_CHUNK_ENTRIES``
 drawn entries (or one row or hull, if larger), so its memory does not grow
 with the sample or trial count. Per-trial generators come from
 ``rng.trial_rngs``, which seeds at most ``rng._SEED_CHUNK`` trials at a time.
-The triangle and sandwich checks keep the order of a single bulk draw of
-consecutive blocks by saving a copy of the generator at the start of each
-block and skip-drawing it (``_normal_blocks``).
+The triangle and sandwich checks draw their tuples row by row, so a chunk
+of ``_normal_blocks`` is a run of consecutive rows of one bulk draw, with at
+most ``_CHUNK_ENTRIES`` entries per tuple member.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -147,32 +146,19 @@ def _triangle_ratio(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _normal_blocks(rng: np.random.Generator, blocks: int, samples: int, dim: int):
-    """Yield rng.standard_normal((blocks, samples, dim)) as row chunks.
+    """Yield rng.standard_normal((samples, blocks, dim)) as row chunks.
 
-    Each chunk is a ``(blocks, rows, dim)`` view of one reused buffer, with
-    rows at most ``max(1, _CHUNK_ENTRIES // dim)``; consume it before the
-    next. The values and the final state of ``rng`` equal one bulk draw:
-    a copy of the generator is saved at the start of every block but the
-    last, and the block is then skip-drawn chunk by chunk into a scratch
-    row buffer. Each chunk then draws its rows of every block from that
-    block's own generator, the last from ``rng`` itself. Drawing into
-    consecutive ``out=`` slices consumes the stream exactly as one call
-    does, so the cost is the skipped draws: (2 * blocks - 1) / blocks of
-    the bulk draw's normals.
+    Each chunk is a ``(blocks, rows, dim)`` transposed view of one reused
+    buffer, with rows at most ``max(1, _CHUNK_ENTRIES // dim)``; consume it
+    before the next. Drawing into consecutive ``out=`` slices consumes the
+    stream exactly as one bulk call does.
     """
     rows = max(1, _CHUNK_ENTRIES // dim)
-    buf = np.empty((blocks, min(rows, samples), dim))
-    starts = []
-    for _ in range(blocks - 1):
-        starts.append(copy.deepcopy(rng))
-        for start in range(0, samples, rows):
-            rng.standard_normal(out=buf[0, : min(rows, samples - start)])
-    gens = starts + [rng]
+    buf = np.empty((min(rows, samples), blocks, dim))
     for start in range(0, samples, rows):
-        chunk = buf[:, : min(rows, samples - start)]
-        for block, gen in zip(chunk, gens):
-            gen.standard_normal(out=block)
-        yield chunk
+        chunk = buf[: min(rows, samples - start)]
+        rng.standard_normal(out=chunk)
+        yield chunk.transpose(1, 0, 2)
 
 
 def check_sandwich(samples: int, dim: int, seed: int) -> float:
@@ -180,8 +166,8 @@ def check_sandwich(samples: int, dim: int, seed: int) -> float:
     with d > 0 (0 if there are none), where dtilde(w, v) =
     (sum_i (w_i^2 - v_i^2)^2)^(1/2); the sandwich bound keeps it <= 1.
 
-    The pairs are the rows of x = standard_normal((samples, dim)) and of y,
-    drawn after x; ``_normal_blocks`` streams them in chunks.
+    Pair i is row i of standard_normal((samples, 2, dim)), as (w_i, v_i);
+    ``_normal_blocks`` streams them in chunks.
     """
     if samples < 0 or dim < 1:
         raise OrthoSubselectError("need samples >= 0 and dim >= 1")
@@ -199,8 +185,9 @@ def check_quasi_triangle(samples: int, dim: int, seed: int) -> float:
     Samples Gaussian triples plus a 1% batch of adversarial near-collinear
     triples (w, w + delta, w + 2 delta) with large coordinates and tiny
     increments. The generalized triangle inequality bounds the ratio by 4.
-    The stream is that of the bulk draws standard_normal((3, samples, dim))
-    for (w, u, v), then base and delta of shape (samples // 100 or 1, dim);
+    The stream is that of the bulk draws standard_normal((samples, 3, dim)),
+    row i being (w_i, u_i, v_i), then standard_normal((n_adv, 2, dim)), row i
+    being (base_i, delta_i), with n_adv = samples // 100 or 1;
     ``_normal_blocks`` streams both in chunks, so memory stays bounded
     whatever ``samples`` is.
     """

@@ -32,6 +32,7 @@ from ortho_subselect import (
     select_subset,
 )
 from ortho_subselect.cli import StudyConfig, run_study
+from ortho_subselect.processes import check_sandwich
 
 CMD = [sys.executable, "-m", "ortho_subselect"]
 
@@ -148,6 +149,8 @@ def test_criterion_07_quasimetric_hard_properties():
             d = np.sqrt(np.sum((x - y) ** 2 * (x * x + y * y), axis=1))
             dt = np.sqrt(np.sum((x * x - y * y) ** 2, axis=1))
             assert np.all(dt <= math.sqrt(2.0) * d), "sandwich violated"
+            ratio = check_sandwich(100_000, dim, seed=dim)
+            assert ratio <= 1.0, f"sandwich ratio {ratio} > 1 in dim {dim}"
         ratio = check_ball_convexity(10_000, 6, seed=3)
         assert ratio <= 4.0, f"convexity ratio {ratio} > 4"
 

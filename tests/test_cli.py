@@ -144,6 +144,37 @@ def test_usage_errors_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("same", [("--output", "--trace"), ("--input", "--output"),
+                                  ("--input", "--trace")],
+                         ids=["output-trace", "input-output", "input-trace"])
+def test_select_rejects_two_flags_naming_one_file(tmp_path, same):
+    # a shared path would lose the certificate to the trace, or the input
+    # matrix to either; the second flag spells the path differently
+    mat = tmp_path / "w.txt"
+    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16", "--output", str(mat))
+    before = mat.read_bytes()
+    paths = {"--input": mat, "--output": tmp_path / "c.json", "--trace": tmp_path / "t.json"}
+    shared = paths[same[0]]
+    paths[same[1]] = f"{shared.parent}/./{shared.name}"
+    res = run_cli("select", "--epsilon", "0.5",
+                  *[arg for item in paths.items() for arg in map(str, item)])
+    assert res.returncode == 2
+    assert f"argument {same[1]}: same file as {same[0]}" in res.stderr
+    assert mat.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["w.txt"]
+
+
+def test_select_input_in_a_symlink_loop_is_an_error_line(tmp_path):
+    # the same-file check resolves the paths without raising on the loop,
+    # and reading the input reports it
+    (tmp_path / "a").symlink_to(tmp_path / "b")
+    (tmp_path / "b").symlink_to(tmp_path / "a")
+    res = run_cli("select", "--input", str(tmp_path / "a"), "--epsilon", "0.5",
+                  "--output", str(tmp_path / "c.json"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ") and "symbolic links" in res.stderr
+
+
 def test_select_certify_round_trip(tmp_path):
     mat = tmp_path / "w.txt"
     cert_path = tmp_path / "cert.json"

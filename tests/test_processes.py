@@ -350,9 +350,8 @@ def test_check_sandwich_matches_pairwise_loop():
     for dim in (1, 2, 32, 33, WIDE_DIM):
         cases += [(samples, dim, 5) for samples in _chunk_edges(dim, least=0)]
     for samples, dim, seed in cases:
-        rng = make_rng(seed)
-        x = rng.standard_normal((samples, dim))
-        y = rng.standard_normal((samples, dim))
+        pairs = make_rng(seed).standard_normal((samples, 2, dim))
+        x, y = pairs[:, 0], pairs[:, 1]
         worst = 0.0
         for a, b in zip(x, y):
             d = _quasi_d(a, b)
@@ -376,10 +375,11 @@ def _d_rows(x, y):
 
 
 def _triangle_batches(rng, samples, dim):
-    yield rng.standard_normal((3, samples, dim))
-    n_adv = max(1, samples // 100)
-    base = 10.0 * rng.standard_normal((n_adv, dim))
-    delta = 1e-6 * rng.standard_normal((n_adv, dim))
+    triples = rng.standard_normal((samples, 3, dim))
+    yield triples[:, 0], triples[:, 1], triples[:, 2]
+    adversarial = rng.standard_normal((max(1, samples // 100), 2, dim))
+    base = 10.0 * adversarial[:, 0]
+    delta = 1e-6 * adversarial[:, 1]
     yield base, base + delta, base + 2.0 * delta
 
 
@@ -438,6 +438,27 @@ def test_quasi_triangle_draws_the_whole_array_stream(monkeypatch, samples, dim):
     for got, g, adv in zip((w, u, v), gauss, adversarial):
         assert len(adv) == max(1, samples // 100)
         assert got.tobytes() == np.concatenate([g, adv]).tobytes()
+
+
+@pytest.mark.parametrize("samples, dim", [(99, 2), (13_000, 32), (250, WIDE_DIM)])
+def test_check_sandwich_draws_the_whole_array_stream(monkeypatch, samples, dim):
+    # Every (x, y) pair the check reduces is the whole-array draw's, bit for
+    # bit; the ratio oracle sees only the largest ratio. At (13_000, 32) and
+    # (250, WIDE_DIM) the pairs span many chunks.
+    calls = []
+
+    def record(x, y):
+        calls.append((x.copy(), y.copy()))
+        return _d_batch(x, y)
+
+    monkeypatch.setattr(proc, "_d_batch", record)
+    check_sandwich(samples, dim, seed=12)
+    pairs = make_rng(12).standard_normal((samples, 2, dim))
+    x = np.concatenate([x for x, _ in calls])
+    y = np.concatenate([y for _, y in calls])
+    assert x.shape == y.shape == (samples, dim)
+    assert x.tobytes() == pairs[:, 0].tobytes()
+    assert y.tobytes() == pairs[:, 1].tobytes()
 
 
 def test_quasi_triangle_memory_stays_near_the_drawn_triples():
