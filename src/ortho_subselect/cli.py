@@ -465,5 +465,23 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Console entry point: ``main()``, then exit without interpreter teardown.
+
+    Tearing down an interpreter that has loaded numpy takes about 0.04 s
+    after the output is written. Once stdout and stderr are flushed nothing
+    is left to save, so the process ends with ``os._exit``. A flush that
+    fails (a closed pipe) and an exception that escapes ``main`` take the
+    normal exit, which reports them as before.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -9,10 +9,17 @@ pure and never mutates its arguments.
 Public functions check their inputs; orthonormality and rank use the fixed
 tolerance ``ORTHO_TOL``. ``_gram_extremes``, the one home of the deviation
 formula, takes 0-based column indices and checks nothing.
+
+``read_matrix_text`` reads its file once. Plain files go through numpy's C
+parser; any other file, and any plain file that parser does not return as
+a finite n x M array, goes through the row-by-row ``_read_matrix_data``,
+whose verdict and message are the reader's.
 """
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,9 +165,46 @@ def write_matrix_text(path, m) -> None:
 
 
 def read_matrix_text(path) -> np.ndarray:
-    """Parse the matrix text format; raises OrthoSubselectError on any defect."""
+    """Parse the matrix text format; raises OrthoSubselectError on any defect.
+
+    The file is read once, so ``path`` may be a pipe.
+    """
+    data = Path(path).read_bytes()
+    if not data.translate(None, _PLAIN_BYTES):
+        a = _loadtxt_matrix(data)
+        if a is not None:
+            return a
+    return _read_matrix_data(path, data)
+
+
+# loadtxt reads \x0b, \x0c and \x1c-\x1e as field gaps where str.splitlines
+# breaks lines; those bytes, tabs, CR, nan, inf and '_' take the row loop
+_PLAIN_BYTES = b"0123456789.eE+- \n"
+
+
+def _loadtxt_matrix(data: bytes) -> np.ndarray | None:
+    """The matrix in plain ``data`` if numpy's C reader finds a valid one."""
+    end = data.find(b"\n")
+    if end < 0:
+        return None
     try:
-        text = Path(path).read_text(encoding="ascii")
+        n, m = (int(tok) for tok in data[:end].split())
+        body = io.BytesIO(data)  # shares data's buffer: no 11 MB body slice
+        body.seek(end + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on an empty body
+            a = np.loadtxt(body, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if n < 1 or a.shape != (n, m) or not np.isfinite(a).all():
+        return None
+    return a
+
+
+def _read_matrix_data(path, data: bytes) -> np.ndarray:
+    """The row-by-row reader, which names the first defect of ``data``."""
+    try:
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise OrthoSubselectError(f"{path}: {exc}") from exc
     if "_" in text:  # int() and float() would read 2_0 as 20

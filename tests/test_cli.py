@@ -1,4 +1,5 @@
 import filecmp
+import io
 import json
 import math
 import os
@@ -555,3 +556,58 @@ def test_study_deterministic_across_runs(tmp_path):
         assert res.returncode == 0
         blobs.append((res.stdout, csv_path.read_bytes()))
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_certify_reads_the_matrix_from_a_pipe(tmp_path):
+    mat = tmp_path / "w.txt"
+    run_cli("gen", "--kind", "walsh", "--n", "8", "--M", "64", "--output", str(mat))
+    args = ["certify", "--subset", ",".join(map(str, range(1, 33))), "--epsilon", "0.5"]
+    from_file = run_cli(*args, "--input", str(mat))
+    from_pipe = subprocess.run(CMD + args + ["--input", "/dev/stdin"],
+                               input=mat.read_text(), capture_output=True, text=True)
+    assert from_file.stdout.startswith('{"n": 8, "M": 64')
+    assert (from_pipe.returncode, from_pipe.stdout, from_pipe.stderr) == (
+        from_file.returncode, from_file.stdout, from_file.stderr)
+
+
+def test_exit_codes_and_buffered_output_survive_the_hard_exit(tmp_path):
+    # unbuffered, every print reaches the file before main returns; buffered,
+    # run() must flush before os._exit drops the buffer
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    out = tmp_path / "verify.out"
+    with open(out, "w") as fh:
+        res = subprocess.run(CMD + ["verify", "--suite", "all", "--seed", "0"],
+                             stdout=fh, stderr=subprocess.PIPE, text=True, env=env)
+    assert (res.returncode, res.stderr) == (0, "")
+    lines = out.read_text().splitlines()
+    assert len(lines) == 16 and json.loads(lines[-1])["check"] == "quasi_ball_convexity"
+
+    mat = tmp_path / "w.txt"
+    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16", "--output", str(mat))
+    miss = subprocess.run(CMD + ["certify", "--input", str(mat), "--subset", "1,2,3",
+                                 "--epsilon", "0.1"],
+                          capture_output=True, text=True, env=env)
+    assert miss.returncode == 1
+    assert json.loads(miss.stdout)["epsilon_achieved"] > 0.1
+    usage = subprocess.run(CMD + ["certify", "--input", str(mat)],
+                           capture_output=True, text=True, env=env)
+    assert usage.returncode == 2
+    assert "the following arguments are required: --subset" in usage.stderr
+
+
+def test_run_falls_back_to_a_normal_exit_when_a_flush_fails(monkeypatch):
+    exits = []
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(os, "_exit", exits.append)
+    cli.run()
+    assert exits == [3]
+
+    class ClosedPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3 and exits == [3]

@@ -1,9 +1,12 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ortho_subselect import (
     OrthoRowMatrix,
@@ -13,7 +16,7 @@ from ortho_subselect import (
     read_matrix_text,
     write_matrix_text,
 )
-from ortho_subselect import generators
+from ortho_subselect import generators, linalg
 from ortho_subselect.cli import parse_subset_spec
 from ortho_subselect.generators import gen_trig
 from ortho_subselect.linalg import ORTHO_TOL
@@ -372,6 +375,99 @@ def test_read_matrix_text_parses_tokens_like_float(tmp_path, token):
         got = read_matrix_text(path)
         assert got.tobytes() == _float_loop_read(path).tobytes()
         assert got[0, 0].tobytes() == np.float64(value).tobytes()
+
+
+_EXTREMES = [5e-324, -5e-324, 1e-310, -0.0, 0.0, 1e300, -1e300, 1e-300, -1e-300]
+_PLAIN_GAPS, _GAPS = [" ", "  "], [" ", "  ", "\t", " \x1f "]
+_PLAIN_BREAKS, _BREAKS = ["\n", "\n\n", "\n  \n"], ["\n", "\n\n", "\r\n", "\r", "\t\n"]
+_STRAYS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\t", "\r\n", "\n", " ", "-", "e"]
+
+
+@st.composite
+def _matrix_texts(draw, path):
+    """A random matrix written by ``_fstring_write``, re-spaced, and on
+    mixed cases with stray bytes inserted or a value dropped."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                           | st.sampled_from(_EXTREMES), min_size=n * m, max_size=n * m))
+    _fstring_write(path, np.reshape(values, (n, m)))
+    plain = draw(st.booleans())
+    gaps, breaks = (_PLAIN_GAPS, _PLAIN_BREAKS) if plain else (_GAPS, _BREAKS)
+    rows = [ln.split(" ") for ln in path.read_text().splitlines()]
+    if draw(st.booleans()) and len(rows[-1]) > 1:
+        rows[-1].pop()
+    text = "".join(
+        draw(st.sampled_from(gaps)).join(row) + draw(st.sampled_from(breaks))
+        for row in rows
+    )
+    if not plain:
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(_STRAYS)) + text[at:]
+    return text
+
+
+def _assert_reads_like_the_row_loop(path, capfd):
+    """read_matrix_text returns the oracle's array bitwise, or raises the
+    row-by-row reader's message, and writes nothing to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            want = linalg._read_matrix_data(path, path.read_bytes())
+        except OrthoSubselectError as exc:
+            with pytest.raises(OrthoSubselectError) as got:
+                read_matrix_text(path)
+            assert str(got.value) == str(exc)
+        else:
+            got = read_matrix_text(path)
+            oracle = _float_loop_read(path)
+            assert got.shape == want.shape == oracle.shape
+            assert got.tobytes() == want.tobytes() == oracle.tobytes()
+    assert caught == []
+    assert capfd.readouterr().err == ""
+
+
+@pytest.fixture(scope="module")
+def matrix_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse_paths") / "m.txt"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_read_matrix_text_parse_paths_agree(matrix_file, capfd, data):
+    matrix_file.write_bytes(data.draw(_matrix_texts(matrix_file)).encode("ascii"))
+    _assert_reads_like_the_row_loop(matrix_file, capfd)
+
+
+@pytest.mark.parametrize("text", [
+    "1 4\n1 2\x0b3 4\n", "1 2\n1\t2\n", "1 2\r\n1 2\r\n",
+    "1 2\n", "1 2", "1 2\n  \n", "0 1\n\n", "\n1 2\n1 2\n", "1 2\n1e999 1\n",
+    "1 2\n- 1\n", "1 2 3\n1 2\n", "1.0 2\n1 2\n", "2 1\n1\n",
+])
+def test_read_matrix_text_parse_paths_agree_on_edge_files(tmp_path, capfd, text):
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode("ascii"))
+    _assert_reads_like_the_row_loop(path, capfd)
+
+
+def test_read_matrix_text_form_feed_splits_a_row(tmp_path):
+    # np.loadtxt alone would read one row of four
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"1 4\n1 2\x0c3 4\n")
+    with pytest.raises(OrthoSubselectError, match="expected 1 data rows, found 2"):
+        read_matrix_text(path)
+
+
+def test_read_matrix_text_plain_file_skips_the_row_loop(monkeypatch, tmp_path):
+    path = tmp_path / "m.txt"
+    _fstring_write(path, FORMAT_CASES["exp_pm300"])
+
+    def row_loop(path, data):
+        raise AssertionError("a plain well-formed file reached the row loop")
+
+    monkeypatch.setattr(linalg, "_read_matrix_data", row_loop)
+    assert read_matrix_text(path).tobytes() == _float_loop_read(path).tobytes()
 
 
 def test_matrix_text_errors_name_the_defect(tmp_path):
