@@ -8,18 +8,11 @@ Monte-Carlo harnesses for the probabilistic machinery behind the selection.
 
 import os
 
-# OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when numpy loads it, so the
-# setdefault below stays ahead of every import that can load numpy. After the
-# library loads and after each threaded call, an idle BLAS worker busy-waits
-# 2**timeout cycles before it sleeps. On a 2-CPU x86-64 host (15-run
-# medians), a bare `import numpy` took 0.346 s of CPU for 0.222 s of wall at
-# OpenBLAS's default of 28, and 0.220 s of CPU at 20, close to the 0.213 s of
-# the shortest timeout, 4. At 20 the criterion-3 study's CPU time also fell
-# to its wall time, and select on a 256 x 16384 Walsh matrix, where threads
-# help, kept its wall time. The thread count, and with it every output byte,
-# is left to OpenBLAS; a caller's own setting wins.
-_OPENBLAS_THREAD_TIMEOUT = "20"
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_THREAD_TIMEOUT)
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so the
+# setdefault stays ahead of every import that can load numpy. Its LAPACK
+# rounds per thread count, and the output bytes are pinned at one thread; a
+# caller's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import OrthoSubselectError, RetriesExhausted
 from .generators import CoherenceReport, coherence, gen_random_ortho, gen_trig, gen_walsh

@@ -3,9 +3,9 @@
 Three families of orthonormal-row matrices: flat +-1/sqrt(M) sign matrices
 (Sylvester order, M a power of two), trigonometric rows (any M), which are
 orthogonal as sampled and only normalized, and seeded Gaussian row spaces,
-orthonormalized by QR. That QR is the one BLAS result written out, so only
-``gen_random_ortho``'s bytes can depend on the BLAS thread count (at large
-shapes).
+orthonormalized by QR. That QR is the one BLAS result written out; at large
+shapes it rounds per BLAS thread count, so ``gen_random_ortho``'s bytes are
+those of the package's default of one OpenBLAS thread.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ def gen_trig(n: int, m: int) -> OrthoRowMatrix:
 
     For n <= M the frequencies stay below the Nyquist frequency M/2, so the
     rows are orthogonal in exact arithmetic and need no QR; the norms come
-    from numpy's own reduction, not BLAS, so the bytes do not depend on the
-    BLAS thread count.
+    from numpy's own reduction, not BLAS, so the bytes are the same under
+    any BLAS thread count, not only the package's default of one.
     """
     _check_shape(n, m)
     j = np.arange(m)

@@ -27,6 +27,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+# ahead of numpy, so that the package's OPENBLAS_NUM_THREADS default holds
+import ortho_subselect
+from ortho_subselect import cli, gen_trig, gen_walsh, write_matrix_text
+
 import numpy as np
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -39,6 +43,8 @@ SKEW = "1 2\n0.89442719099991586 0.44721359549995793\n"
 # literal text ("text") or a file that an earlier record wrote ("record")
 WALSH = {"walsh.txt": {"generate": ["walsh", 16, 256]}}
 TRIG = {"trig.txt": {"generate": ["trig", 32, 16384]}}
+# large enough that LAPACK's eigvalsh rounds differently per BLAS thread count
+TRIG256 = {"trig.txt": {"generate": ["trig", 256, 4096]}}
 CERTIFY = ["certify", "--input", "walsh.txt", "--epsilon", "0.5", "--subset"]
 SELECT = ["select", "--input", "walsh.txt", "--epsilon", "0.5", "--output", "cert.json"]
 STUDY = ["study", "--kind", "walsh", "--n-list", "8,16", "--m-factor", "16",
@@ -88,6 +94,16 @@ CASES: dict[str, dict] = {
             "inputs": {**TRIG, "cert.json": {"record": f"select_trig_seed{seed}"}},
         }
         for seed in (1, 2, 3, 4)
+    },
+    "select_trig256_seed1": {
+        "argv": ["select", "--input", "trig.txt", "--epsilon", "0.5", "--seed", "1",
+                 "--output", "cert.json", "--trace", "trace.json"],
+        "inputs": TRIG256,
+    },
+    "certify_trig256_seed1": {
+        "argv": ["certify", "--input", "trig.txt", "--subset", "cert.json",
+                 "--epsilon", "0.5"],
+        "inputs": {**TRIG256, "cert.json": {"record": "select_trig256_seed1"}},
     },
     # the README's example: a valid certificate that misses --epsilon, exit 1
     "certify_paper_example": {
@@ -160,8 +176,8 @@ CASES: dict[str, dict] = {
 def build_env() -> dict:
     """numpy version, BLAS build and CPU features: the exact bytes are
     compared only on a machine where all three match the record's. The BLAS
-    thread count is not among them: only gen_random_ortho's QR at large
-    shapes rounds differently under another count, and no record runs one."""
+    thread count is not among them: records are written and replayed at the
+    package's default of one OpenBLAS thread."""
     try:
         config = np.show_config(mode="dicts")
         blas = config["Build Dependencies"]["blas"]
@@ -181,8 +197,6 @@ def output_sha256(outputs: dict) -> str:
 def write_inputs(inputs: dict, workdir: Path, cache: Path) -> None:
     """Create the case's input files in ``workdir``; generated matrices are
     built once per ``cache`` directory and copied."""
-    from ortho_subselect import gen_trig, gen_walsh, write_matrix_text
-
     for name, spec in inputs.items():
         if "text" in spec:
             (workdir / name).write_text(spec["text"], encoding="utf-8")
@@ -201,12 +215,10 @@ def write_inputs(inputs: dict, workdir: Path, cache: Path) -> None:
 
 def run_cli_process(argv: list[str], workdir: Path) -> tuple[int, str, str]:
     """Run ``python -m ortho_subselect`` in a fresh interpreter, with this
-    package first on its path and OPENBLAS_THREAD_TIMEOUT left to the
-    package's default."""
-    import ortho_subselect
-
+    package first on its path and OPENBLAS_NUM_THREADS left to the package's
+    default."""
     env = dict(os.environ)
-    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
     src = str(Path(ortho_subselect.__file__).resolve().parents[1])
     path = [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src]
     env["PYTHONPATH"] = os.pathsep.join(path)
@@ -223,8 +235,6 @@ def run_case(case: dict, workdir: Path, cache: Path, process: bool = False) -> d
     if process:
         code, stdout, stderr = run_cli_process(case["argv"], workdir)
     else:
-        from ortho_subselect import cli
-
         out, err = io.StringIO(), io.StringIO()
         cwd = os.getcwd()
         os.chdir(workdir)

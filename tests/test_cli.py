@@ -10,7 +10,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-import ortho_subselect
 from ortho_subselect import (
     OrthoRowMatrix,
     cli,
@@ -67,7 +66,7 @@ def test_gen_random_is_deterministic(tmp_path):
 
 def test_gen_trig_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the trig rows are only normalized; a BLAS QR would round per thread count
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = dict(os.environ)
 
     def run_gen_trig(out, env):
         res = subprocess.run(CMD + ["gen", "--kind", "trig", "--n", "32", "--M", "16384",
@@ -76,11 +75,11 @@ def test_gen_trig_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert res.returncode == 0, res.stderr
         return res.stdout
 
-    one, unset = tmp_path / "one.txt", tmp_path / "unset.txt"
+    one, two = tmp_path / "one.txt", tmp_path / "two.txt"
     one_stdout = run_gen_trig(one, {**env, "OPENBLAS_NUM_THREADS": "1"})
-    unset_stdout = run_gen_trig(unset, env)
-    assert filecmp.cmp(one, unset, shallow=False)
-    assert one_stdout == unset_stdout
+    two_stdout = run_gen_trig(two, {**env, "OPENBLAS_NUM_THREADS": "2"})
+    assert filecmp.cmp(one, two, shallow=False)
+    assert one_stdout == two_stdout
 
 
 @pytest.mark.parametrize("argv", [
@@ -110,7 +109,7 @@ def test_gen_negative_seed_is_rejected_only_where_it_is_used(tmp_path, kind, cod
     assert res.stderr == ("error: seed must be >= 0, got -1\n" if code else "")
 
 
-# records the BLAS spin setting at the moment numpy is first looked up
+# records the BLAS thread setting at the moment numpy is first looked up
 NUMPY_IMPORT_SPY = """
 import importlib.abc, os, sys
 assert "numpy" not in sys.modules
@@ -118,23 +117,22 @@ seen = []
 class Spy(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" and not seen:
-            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
 sys.meta_path.insert(0, Spy())
 import ortho_subselect
 print(seen)
 """
 
 
-@pytest.mark.parametrize("preset", [None, "30"])
-def test_blas_thread_timeout_is_set_before_numpy_loads(preset):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_blas_thread_count_is_set_before_numpy_loads(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
-        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+        env["OPENBLAS_NUM_THREADS"] = preset
     res = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_SPY], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    want = preset or ortho_subselect._OPENBLAS_THREAD_TIMEOUT
-    assert res.stdout == f"{[want]}\n"
+    assert res.stdout == f"{[preset or '1']}\n"
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -8,10 +8,11 @@ that is exactly 0 (a rank-deficient Gram's lambda_min, the deviation of the
 full column set). The exact bytes are compared through their SHA-256 only
 where numpy, its BLAS build and the CPU features match the record's.
 
-Every in-process replay runs after pytest has loaded numpy, so the package's
-OPENBLAS_THREAD_TIMEOUT default never takes effect there. PROCESS_NAMES are
-replayed once more, each through a CLI process of its own that starts with
-the variable unset.
+Every replay runs at the package's default of one OpenBLAS thread:
+tests/conftest.py imports the package before numpy loads, and PROCESS_NAMES
+are replayed once more, each through a CLI process of its own that starts
+with OPENBLAS_NUM_THREADS unset. The trig 256 x 4096 records are large
+enough that their bytes change under another thread count.
 """
 
 import math
@@ -30,7 +31,7 @@ from golden.record import (
 
 NAMES = record_names()
 PROCESS_NAMES = ["verify_all_seed0", "study_walsh_n128", "select_trig_seed1",
-                 "certify_trig_seed1"]
+                 "certify_trig_seed1", "select_trig256_seed1", "certify_trig256_seed1"]
 OUTPUT_KEYS = ("exit_code", "stdout", "stderr", "files")
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 REL_TOL = 1e-12
