@@ -14,7 +14,7 @@ import os
 # caller's own setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import OrthoSubselectError, RetriesExhausted
+from .errors import OrthoSubselectError
 from .generators import CoherenceReport, coherence, gen_random_ortho, gen_trig, gen_walsh
 from .linalg import (
     OrthoRowMatrix,
@@ -31,14 +31,13 @@ from .processes import (
     gaussian_sup_estimates,
     proj_l1_l2_norm,
 )
-from .rng import child_seed, make_rng, rademacher
+from .rng import child_seed
 from .selection import (
     HalvingStep,
     IsometryCertificate,
     SelectionTrace,
     cardinality_window,
     certify,
-    halve_step,
     select_subset,
     uniform_baseline,
 )

@@ -166,10 +166,11 @@ def study_rows_to_csv(rows: list[StudyRow]) -> str:
 
 def parse_subset_spec(spec: str, m: int) -> SubsetIndex:
     """Subset from a certificate/trace JSON path or an inline index list."""
-    path = Path(spec)
-    if spec and path.exists():  # Path("") is Path("."), which exists
+    # os.path.exists, unlike Path.exists, is False for "" (not ".") and for
+    # a name too long to be a file, such as a long inline list
+    if os.path.exists(spec):
         try:
-            data = json.loads(path.read_text(encoding="ascii"))
+            data = json.loads(Path(spec).read_text(encoding="ascii"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise OrthoSubselectError(f"{spec}: {exc}") from exc
         if isinstance(data, dict) and "subset" in data:

@@ -1,13 +1,8 @@
 """The package's one error type. Every error it raises on purpose, for a
 rejected matrix, subset or argument or a sampler that cannot place its
 points, is an :class:`OrthoSubselectError` (a ValueError) whose message names
-the defect. :class:`RetriesExhausted` is its only subclass, because
-``select_subset`` catches it to end the halving cascade."""
+the defect."""
 
 
 class OrthoSubselectError(ValueError):
     """A rejected input or a failed sampler; the message says which."""
-
-
-class RetriesExhausted(OrthoSubselectError):
-    """No halving draw satisfied the size window and deviation budget."""

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import OrthoSubselectError
 from .linalg import OrthoRowMatrix, orthonormalize_rows
-from .rng import make_rng
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ def gen_random_ortho(n: int, m: int, seed: int) -> OrthoRowMatrix:
     _check_shape(n, m)
     if seed < 0:  # numpy's own rejection does not name the seed
         raise OrthoSubselectError(f"seed must be >= 0, got {seed}")
-    return orthonormalize_rows(make_rng(seed).standard_normal((n, m)))
+    return orthonormalize_rows(np.random.default_rng(seed).standard_normal((n, m)))
 
 
 def coherence(a: OrthoRowMatrix) -> CoherenceReport:

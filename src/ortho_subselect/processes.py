@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import OrthoSubselectError
 from .linalg import OrthoRowMatrix
-from .rng import make_rng, rademacher, trial_rngs
+from .rng import trial_rngs
 
 # Entries per chunk of draws in every sampler: keeps a chunk's arrays at
 # 32 KiB each, whatever the sample or trial count.
@@ -79,9 +79,11 @@ def estimate_process(a: OrthoRowMatrix, trials: int, seed: int) -> ProcessEstima
     if trials < 2:
         raise OrthoSubselectError(f"need at least 2 trials, got {trials}")
 
-    # rademacher signs are +-1, so the unchecked supremum applies
-    values = np.asarray([_sign_sup(a.mat.T, rademacher(rng, a.m))
-                         for rng in trial_rngs(seed, trials)])
+    # Rademacher signs 2b - 1 are +-1, so the unchecked supremum applies
+    values = np.asarray([
+        _sign_sup(a.mat.T, 2.0 * rng.integers(0, 2, size=a.m).astype(np.float64) - 1.0)
+        for rng in trial_rngs(seed, trials)
+    ])
     mean = math.fsum(values) / trials
     var = math.fsum((values - mean) ** 2) / (trials - 1)
     std_error = math.sqrt(var / trials)
@@ -172,7 +174,7 @@ def check_sandwich(samples: int, dim: int, seed: int) -> float:
     if samples < 0 or dim < 1:
         raise OrthoSubselectError("need samples >= 0 and dim >= 1")
     worst = 0.0
-    for x, y in _normal_blocks(make_rng(seed), 2, samples, dim):
+    for x, y in _normal_blocks(np.random.default_rng(seed), 2, samples, dim):
         dtilde = np.sqrt(np.sum((x * x - y * y) ** 2, axis=-1))
         worst = max(worst, _max_ratio(dtilde, math.sqrt(2.0) * _d_batch(x, y)))
     return worst
@@ -193,7 +195,7 @@ def check_quasi_triangle(samples: int, dim: int, seed: int) -> float:
     """
     if samples < 1 or dim < 1:
         raise OrthoSubselectError("need samples >= 1 and dim >= 1")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for w, u, v in _normal_blocks(rng, 3, samples, dim):
         worst = max(worst, _triangle_ratio(w, u, v))
@@ -239,7 +241,7 @@ def check_ball_convexity(samples: int, dim: int, seed: int) -> float:
     if samples < 1 or dim < 1:
         raise OrthoSubselectError("need samples >= 1 and dim >= 1")
     rho = _BALL_RADIUS
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     combos_per_hull = 8
     hull_size = 6
     hulls = -(-samples // combos_per_hull)

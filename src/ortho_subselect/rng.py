@@ -37,16 +37,6 @@ def child_seed(seed: int, *path: int | str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """PCG64 generator for the given seed."""
-    return np.random.default_rng(seed)
-
-
-def rademacher(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vector of independent +-1 signs, each with probability 1/2."""
-    return 2.0 * rng.integers(0, 2, size=size).astype(np.float64) - 1.0
-
-
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
     """Row k is ``SeedSequence(seeds[k]).generate_state(4, np.uint64)``.
 
@@ -118,7 +108,7 @@ def _preset_state_type() -> type:
 def trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
     """Generators for ``child_seed(seed, k)``, ``k = 0 .. count-1``, in order.
 
-    Each equals ``make_rng(child_seed(seed, k))`` draw for draw. Seeds are
+    Each equals ``default_rng(child_seed(seed, k))`` draw for draw. Seeds are
     derived and mixed lazily, ``_SEED_CHUNK`` trials at a time.
     """
     preset = _preset_state_type()

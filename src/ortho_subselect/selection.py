@@ -6,6 +6,10 @@ the window [p/2 * (1 - 1/sqrt(p)), p/2] and (b) the exactly computed global
 deviation of the child stays within the budget. Acceptance on the *global*
 deviation makes every certificate sound by construction: no step is ever
 kept on the strength of a probabilistic estimate alone.
+
+``select_subset`` checks its arguments once and runs the cascade on 0-based
+column arrays through the unchecked ``_halve_step``, the one place that
+decides a draw; the only ``SubsetIndex`` it builds is the final subset's.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import OrthoSubselectError, RetriesExhausted
+from .errors import OrthoSubselectError
 from .generators import coherence
 from .linalg import OrthoRowMatrix, SubsetIndex, _check_subset, _gram_extremes
 from .rng import child_seed, trial_rngs
@@ -73,31 +77,19 @@ def cardinality_window(parent_size: int) -> tuple[float, float]:
     return half * (1.0 - 1.0 / math.sqrt(parent_size)), half
 
 
-def halve_step(
-    a: OrthoRowMatrix,
-    parent: SubsetIndex,
-    epsilon_budget: float,
-    seed: int,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> tuple[SubsetIndex, HalvingStep]:
-    """Draw sign splits of ``parent`` until one is accepted.
+def _halve_step(
+    a: OrthoRowMatrix, cols: np.ndarray, budget: float, seed: int, max_retries: int
+) -> tuple[np.ndarray, HalvingStep] | None:
+    """One halving of the 0-based columns ``cols`` (at least 2), unchecked.
 
-    Retry r uses the generator seeded by child_seed(seed, r). Draws whose
-    child is empty, full, or outside the cardinality window count as
-    retries, as do draws whose certified deviation exceeds the budget.
-    Raises RetriesExhausted when no draw within ``max_retries`` passes both
-    tests.
+    Retry r draws from the generator seeded by child_seed(seed, r). Draws
+    whose child is outside the cardinality window count as retries, as do
+    draws whose certified deviation exceeds the budget. Returns the child
+    columns and the step, or None when no draw within ``max_retries`` passes
+    both tests.
     """
-    p = len(parent)
-    if p < 2:
-        raise OrthoSubselectError(f"cannot halve a subset of size {p}")
-    if not (math.isfinite(epsilon_budget) and epsilon_budget >= 0.0):
-        raise OrthoSubselectError(f"budget must be finite and >= 0, got {epsilon_budget}")
-    if max_retries < 1:
-        raise OrthoSubselectError(f"max_retries must be >= 1, got {max_retries}")
-    _check_subset(a, parent)
+    p = len(cols)
     lo, hi = cardinality_window(p)
-    cols = parent.zero_based()
     for retry, rng in enumerate(trial_rngs(seed, max_retries)):
         keep = rng.integers(0, 2, size=p).astype(bool)  # sign +1 <=> keep
         size = int(keep.sum())
@@ -105,12 +97,9 @@ def halve_step(
             continue
         child = cols[keep]
         dev = _gram_extremes(a, child)[2]
-        if dev <= epsilon_budget:
-            return SubsetIndex(child + 1, a.m), HalvingStep(p, size, dev, retry, seed)
-    raise RetriesExhausted(
-        f"no accepted halving of a size-{p} subset in {max_retries} draws "
-        f"(budget {epsilon_budget})"
-    )
+        if dev <= budget:
+            return child, HalvingStep(p, size, dev, retry, seed)
+    return None
 
 
 def _size_floor(n: int, t: float, epsilon: float, kappa: float) -> int:
@@ -146,19 +135,16 @@ def select_subset(
         raise OrthoSubselectError(f"kappa must be finite and >= 0, got {kappa}")
     t = coherence(a).t
     floor = _size_floor(a.n, t, epsilon, kappa)
-    current = SubsetIndex.full(a.m)
+    cols = np.arange(a.m)
     steps: list[HalvingStep] = []
-    while len(current) > min_size and len(current) / 2.0 >= floor:
-        try:
-            current, step = halve_step(
-                a, current, epsilon, child_seed(seed, len(steps)), max_retries
-            )
-        except RetriesExhausted:
+    while len(cols) > min_size and len(cols) / 2.0 >= floor:
+        halved = _halve_step(a, cols, epsilon, child_seed(seed, len(steps)), max_retries)
+        if halved is None:
             break
+        cols, step = halved
         steps.append(step)
-    cert = _certificate(a, current, t)
-    trace = SelectionTrace(tuple(steps), current, epsilon)
-    return cert, trace
+    final = SubsetIndex(cols + 1, a.m)
+    return _certificate(a, final, t), SelectionTrace(tuple(steps), final, epsilon)
 
 
 def certify(a: OrthoRowMatrix, i: SubsetIndex) -> IsometryCertificate:

@@ -27,8 +27,6 @@ from ortho_subselect import (
     gen_random_ortho,
     gen_trig,
     gen_walsh,
-    halve_step,
-    make_rng,
     select_subset,
 )
 from ortho_subselect.cli import StudyConfig, run_study
@@ -222,16 +220,17 @@ def _selection_subsets():
     for n, trial, retry in ((32, 9, 2), (64, 5, 15)):
         a = gen_walsh(n, 16 * n)
         step_seed = child_seed(child_seed(0, n, trial), 0)
-        rng = make_rng(child_seed(step_seed, retry))
+        rng = np.random.default_rng(child_seed(step_seed, retry))
         keep = rng.integers(0, 2, size=a.m).astype(bool)
         pairs.append((a, SubsetIndex(np.flatnonzero(keep) + 1, a.m)))
     a = gen_walsh(16, 256)
     for seed in range(4):
         _, trace = select_subset(a, 0.5, seed=seed)
-        current = SubsetIndex.full(a.m)
-        for k in range(len(trace.steps)):
-            current, _ = halve_step(a, current, 0.5, child_seed(seed, k))
-            pairs.append((a, current))
+        cols = np.arange(a.m)
+        for step in trace.steps:  # replay each accepted draw
+            rng = np.random.default_rng(child_seed(step.seed, step.retries_used))
+            cols = cols[rng.integers(0, 2, size=len(cols)).astype(bool)]
+            pairs.append((a, SubsetIndex(cols + 1, a.m)))
     assert len(pairs) == 7
     return pairs
 

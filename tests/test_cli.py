@@ -273,6 +273,23 @@ def test_certify_empty_subset_is_not_the_current_directory(tmp_path):
     assert "Is a directory: '.'" in res.stderr
 
 
+def test_certify_long_inline_subset_matches_json_file(tmp_path):
+    # 300 indices are over 1,000 bytes, longer than any file name may be
+    mat = tmp_path / "w.txt"
+    run_cli("gen", "--kind", "walsh", "--n", "16", "--M", "1024",
+            "--output", str(mat))
+    subset = list(range(1, 601, 2))
+    listed = tmp_path / "subset.json"
+    listed.write_text(json.dumps(subset))
+    inline = ",".join(map(str, subset))
+    assert len(inline) > 255
+    got, want = (run_cli("certify", "--input", str(mat), "--subset", spec,
+                         "--epsilon", "0.5") for spec in (inline, str(listed)))
+    assert got.stderr == want.stderr == ""
+    assert (got.returncode, got.stdout) == (want.returncode, want.stdout)
+    assert json.loads(got.stdout)["subset"] == subset
+
+
 def test_certify_accepts_zero_epsilon(tmp_path):
     mat = tmp_path / "w.txt"
     run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",

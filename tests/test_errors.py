@@ -1,5 +1,5 @@
 """The error policy: every input the package rejects raises OrthoSubselectError,
-and RetriesExhausted is its only subclass."""
+the package's one error type."""
 
 import inspect
 
@@ -9,8 +9,6 @@ import pytest
 from ortho_subselect import (
     OrthoRowMatrix,
     OrthoSubselectError,
-    RetriesExhausted,
-    SubsetIndex,
     check_ball_convexity,
     check_quasi_triangle,
     errors,
@@ -18,7 +16,6 @@ from ortho_subselect import (
     gaussian_sup_estimates,
     gen_trig,
     gen_walsh,
-    halve_step,
     select_subset,
     uniform_baseline,
 )
@@ -57,11 +54,6 @@ ARGUMENT_CHECKS = {
                      "need samples >= 1 and dim >= 1"),
     "convexity_samples": (lambda: check_ball_convexity(0, 2, seed=0),
                           "need samples >= 1 and dim >= 1"),
-    "halve_step_retries": (
-        lambda: halve_step(gen_walsh(2, 4), SubsetIndex.full(4), 0.5, seed=0,
-                           max_retries=0),
-        "max_retries must be >= 1, got 0",
-    ),
     "select_retries": (lambda: select_subset(gen_walsh(2, 4), 0.5, seed=0, max_retries=0),
                        "max_retries must be >= 1, got 0"),
     "select_kappa": (lambda: select_subset(gen_walsh(2, 4), 0.5, seed=0, kappa=-1.0),
@@ -79,8 +71,7 @@ def test_argument_checks_raise_the_package_error(site):
     assert str(err.value) == message
 
 
-def test_errors_module_holds_one_type_and_its_one_subclass():
+def test_errors_module_holds_one_type():
     classes = {name for name, value in vars(errors).items() if inspect.isclass(value)}
-    assert classes == {"OrthoSubselectError", "RetriesExhausted"}
+    assert classes == {"OrthoSubselectError"}
     assert issubclass(OrthoSubselectError, ValueError)
-    assert issubclass(RetriesExhausted, OrthoSubselectError)

@@ -19,9 +19,7 @@ from ortho_subselect import (
     gaussian_sup_estimates,
     gen_random_ortho,
     gen_walsh,
-    make_rng,
     proj_l1_l2_norm,
-    rademacher,
 )
 from ortho_subselect import cli
 from ortho_subselect import processes as proc
@@ -31,6 +29,11 @@ from ortho_subselect.rng import _SEED_CHUNK
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 HALF_NORMAL_STD = math.sqrt(1.0 - 2.0 / math.pi)
+
+
+def _rademacher(rng, size):
+    """+-1 signs from integer bits, the draw estimate_process makes per trial."""
+    return 2.0 * rng.integers(0, 2, size=size).astype(np.float64) - 1.0
 
 
 def ones_span(m: int) -> OrthoRowMatrix:
@@ -43,7 +46,7 @@ def _gaussian_sup_loop(a, weights, trials, seed):
     inf_vals = np.empty(trials)
     wvals = np.empty(trials)
     for trial in range(trials):
-        rng = make_rng(child_seed(seed, trial))
+        rng = np.random.default_rng(child_seed(seed, trial))
         g = rng.standard_normal(a.m)
         proj = a.mat.T @ (a.mat @ g)
         inf_vals[trial] = np.max(np.abs(proj))
@@ -54,7 +57,7 @@ def _gaussian_sup_loop(a, weights, trials, seed):
 def _estimate_process_loop(a, trials, seed):
     """Reference: one generator and one supremum per trial."""
     values = np.asarray([
-        _sign_sup(a.mat.T, rademacher(make_rng(child_seed(seed, k)), a.m))
+        _sign_sup(a.mat.T, _rademacher(np.random.default_rng(child_seed(seed, k)), a.m))
         for k in range(trials)
     ])
     mean = math.fsum(values) / trials
@@ -104,7 +107,7 @@ def _ball_point(rng, center, rho, max_shrink=80):
 
 def _ball_convexity_loop(samples, dim, rho, seed):
     """Reference: hull by hull, point by point, combination by combination."""
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     done = 0
     while done < samples:
@@ -158,7 +161,7 @@ def test_q_bounded_by_coherence():
 
 def test_sup_sample_coordinate_span():
     a = OrthoRowMatrix(np.eye(1, 8))
-    signs = rademacher(make_rng(0), 8)
+    signs = _rademacher(np.random.default_rng(0), 8)
     assert _sign_sup(a.mat.T, signs) == 1.0
 
 
@@ -170,7 +173,7 @@ def test_sup_sample_all_plus_ones():
 
 def test_sup_sample_sign_flip_symmetry():
     a = gen_random_ortho(4, 20, seed=2)
-    signs = rademacher(make_rng(3), 20)
+    signs = _rademacher(np.random.default_rng(3), 20)
     assert _sign_sup(a.mat.T, signs) == _sign_sup(a.mat.T, -signs)
 
 
@@ -178,7 +181,7 @@ def test_sup_sample_basis_rotation_invariance():
     a = gen_random_ortho(4, 20, seed=5)
     rot = gen_random_ortho(4, 4, seed=6).mat
     a2 = OrthoRowMatrix(rot.T @ a.mat)  # another orthonormal basis of W
-    signs = rademacher(make_rng(7), 20)
+    signs = _rademacher(np.random.default_rng(7), 20)
     assert abs(_sign_sup(a.mat.T, signs) - _sign_sup(a2.mat.T, signs)) <= 1e-10
 
 
@@ -186,7 +189,7 @@ def test_sup_sample_dominates_brute_force():
     # sampling oracle: max over a million random unit w in W of the weighted
     # square sum, which the spectral value must dominate within 1e-3
     a = gen_random_ortho(3, 16, seed=9)
-    signs = rademacher(make_rng(10), 16)
+    signs = _rademacher(np.random.default_rng(10), 16)
     value = _sign_sup(a.mat.T, signs)
     core = (a.mat * signs) @ a.mat.T
     y = np.random.default_rng(11).standard_normal((1_000_000, 3))
@@ -210,8 +213,8 @@ def test_estimate_one_dim_equals_direct_scalar_simulation():
     v = a.mat[0]
     values = np.empty(trials)
     for trial in range(trials):
-        rng = make_rng(child_seed(seed, trial))
-        signs = rademacher(rng, m)
+        rng = np.random.default_rng(child_seed(seed, trial))
+        signs = _rademacher(rng, m)
         values[trial] = abs(float((v * signs) @ v))
     direct_mean = math.fsum(values) / trials
     est = estimate_process(a, trials, seed)
@@ -223,7 +226,7 @@ def test_estimate_ones_span_matches_independent_simulation():
     m, trials = 64, 400
     est = estimate_process(ones_span(m), trials, seed=21)
     rng = np.random.default_rng(1234)
-    oracle = np.abs(rademacher(rng, (trials, m)).sum(axis=1)) / m
+    oracle = np.abs(_rademacher(rng, (trials, m)).sum(axis=1)) / m
     gap = abs(est.mean - oracle.mean())
     se = math.hypot(est.std_error, oracle.std(ddof=1) / math.sqrt(trials))
     assert gap <= 3.0 * se
@@ -350,7 +353,7 @@ def test_check_sandwich_matches_pairwise_loop():
     for dim in (1, 2, 32, 33, WIDE_DIM):
         cases += [(samples, dim, 5) for samples in _chunk_edges(dim, least=0)]
     for samples, dim, seed in cases:
-        pairs = make_rng(seed).standard_normal((samples, 2, dim))
+        pairs = np.random.default_rng(seed).standard_normal((samples, 2, dim))
         x, y = pairs[:, 0], pairs[:, 1]
         worst = 0.0
         for a, b in zip(x, y):
@@ -385,7 +388,7 @@ def _triangle_batches(rng, samples, dim):
 
 def _worst_triangle_loop(samples, dim, seed):
     """Reference: each batch reduced whole, keeping the worst lhs / rhs."""
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for w, u, v in _triangle_batches(rng, samples, dim):
         num = _d_rows(w, v)
@@ -434,7 +437,7 @@ def test_quasi_triangle_draws_the_whole_array_stream(monkeypatch, samples, dim):
     assert np.concatenate([x for x, _ in calls[1::3]]).tobytes() == w.tobytes()
     assert np.concatenate([x for x, _ in calls[2::3]]).tobytes() == u.tobytes()
     assert np.concatenate([y for _, y in calls[2::3]]).tobytes() == v.tobytes()
-    gauss, adversarial = _triangle_batches(make_rng(12), samples, dim)
+    gauss, adversarial = _triangle_batches(np.random.default_rng(12), samples, dim)
     for got, g, adv in zip((w, u, v), gauss, adversarial):
         assert len(adv) == max(1, samples // 100)
         assert got.tobytes() == np.concatenate([g, adv]).tobytes()
@@ -453,7 +456,7 @@ def test_check_sandwich_draws_the_whole_array_stream(monkeypatch, samples, dim):
 
     monkeypatch.setattr(proc, "_d_batch", record)
     check_sandwich(samples, dim, seed=12)
-    pairs = make_rng(12).standard_normal((samples, 2, dim))
+    pairs = np.random.default_rng(12).standard_normal((samples, 2, dim))
     x = np.concatenate([x for x, _ in calls])
     y = np.concatenate([y for _, y in calls])
     assert x.shape == y.shape == (samples, dim)
@@ -512,7 +515,7 @@ def test_ball_convexity_matches_per_combination_loop(dim, rho):
 def _ball_convexity_whole(samples: int, dim: int, rho: float, seed: int) -> float:
     """Reference: every hull's draws made first, then every hull sampled and
     every combination evaluated in one array each."""
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     combos_per_hull = 8
     hull_size = 6
     hulls = -(-samples // combos_per_hull)
@@ -592,7 +595,7 @@ def test_ball_convexity_reports_sampler_failure(monkeypatch):
         )
 
     monkeypatch.setattr(proc, "_ball_points", lambda c, *args: (c, np.arange(len(c))))
-    first = make_rng(0).standard_normal(4)
+    first = np.random.default_rng(0).standard_normal(4)
     with pytest.raises(OrthoSubselectError, match=SAMPLING_FAILED) as err:
         check_ball_convexity(10, 4, seed=0)
     assert str(err.value) == message(first)

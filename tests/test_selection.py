@@ -8,7 +8,7 @@ from ortho_subselect import (
     HalvingStep,
     OrthoRowMatrix,
     OrthoSubselectError,
-    RetriesExhausted,
+    SelectionTrace,
     SubsetIndex,
     cardinality_window,
     certify,
@@ -17,14 +17,17 @@ from ortho_subselect import (
     gen_random_ortho,
     gen_trig,
     gen_walsh,
-    halve_step,
-    make_rng,
     select_subset,
     uniform_baseline,
 )
 from ortho_subselect import selection
 from ortho_subselect.rng import _SEED_CHUNK, trial_rngs
-from ortho_subselect.selection import certificate_to_dict, trace_to_dict
+from ortho_subselect.selection import (
+    _halve_step,
+    _size_floor,
+    certificate_to_dict,
+    trace_to_dict,
+)
 
 
 def flat_pair() -> OrthoRowMatrix:
@@ -36,7 +39,7 @@ def skewed_pair() -> OrthoRowMatrix:
 
 
 def test_halve_step_flat_pair():
-    child, step = halve_step(flat_pair(), SubsetIndex.full(2), 0.1, seed=0)
+    child, step = _halve_step(flat_pair(), np.arange(2), 0.1, 0, 64)
     assert len(child) == 1
     assert step.deviation_after <= 1e-12
     assert step.parent_size == 2 and step.child_size == 1
@@ -44,7 +47,7 @@ def test_halve_step_flat_pair():
 
 def test_halve_step_window_on_full_walsh():
     a = gen_walsh(4, 16)
-    child, step = halve_step(a, SubsetIndex.full(16), 1.0, seed=1)
+    child, step = _halve_step(a, np.arange(16), 1.0, 1, 64)
     lo, hi = cardinality_window(16)
     assert lo == 8 * (1 - 1 / 4) and hi == 8
     assert 6 <= len(child) <= 8
@@ -53,17 +56,18 @@ def test_halve_step_window_on_full_walsh():
 
 def test_halve_step_zero_budget_exhausts():
     a = gen_random_ortho(2, 8, seed=3)
-    with pytest.raises(RetriesExhausted):
-        halve_step(a, SubsetIndex.full(8), 0.0, seed=0, max_retries=16)
+    assert _halve_step(a, np.arange(8), 0.0, 0, 16) is None
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"epsilon_budget": math.nan}, {"epsilon_budget": math.inf},
-     {"epsilon_budget": -0.5}, {"max_retries": 0}, {"max_retries": -3}],
+    [{"epsilon": math.nan}, {"epsilon": math.inf},
+     {"epsilon": -0.5}, {"max_retries": 0}, {"max_retries": -3}],
     ids=["nan", "inf", "negative", "zero-retries", "negative-retries"],
 )
 def test_halve_step_rejects_bad_budget_and_retries(monkeypatch, kwargs):
+    # the halving kernel is unchecked: select_subset rejects its budget and
+    # retry count before the first draw
     draws = []
 
     def counted(*args):
@@ -72,23 +76,20 @@ def test_halve_step_rejects_bad_budget_and_retries(monkeypatch, kwargs):
 
     monkeypatch.setattr(selection, "trial_rngs", counted)
     (_, value), = kwargs.items()
-    args = {"epsilon_budget": 0.5, **kwargs}
+    args = {"epsilon": 0.5, **kwargs}
     with pytest.raises(OrthoSubselectError, match=f"must be .*, got {value}"):
-        halve_step(gen_walsh(4, 16), SubsetIndex.full(16), seed=0, **args)
+        select_subset(gen_walsh(4, 16), seed=0, **args)
     assert draws == []
 
 
 def test_halve_step_records_accepting_draw():
     a = gen_walsh(4, 16)
-    child, step = halve_step(a, SubsetIndex.full(16), 0.75, seed=5)
+    child, step = _halve_step(a, np.arange(16), 0.75, 5, 64)
     # replaying the recorded draw reproduces the child exactly
-    from ortho_subselect import child_seed, make_rng
-
-    rng = make_rng(child_seed(step.seed, step.retries_used))
+    rng = np.random.default_rng(child_seed(step.seed, step.retries_used))
     keep = rng.integers(0, 2, size=16).astype(bool)
-    replay = tuple(int(x) for x in (np.arange(1, 17)[keep]))
-    assert replay == child.indices
-    assert certify(a, child).epsilon_achieved == step.deviation_after
+    assert np.array_equal(np.arange(16)[keep], child)
+    assert certify(a, SubsetIndex(child + 1, 16)).epsilon_achieved == step.deviation_after
 
 
 def test_select_flat_pair_reaches_singleton():
@@ -222,7 +223,7 @@ def test_uniform_baseline_matches_per_trial_loop(trials):
     a = gen_random_ortho(3, 12, seed=5)
     want = []
     for k in range(trials):
-        rng = make_rng(child_seed(8, k))
+        rng = np.random.default_rng(child_seed(8, k))
         cols = np.sort(rng.choice(a.m, size=5, replace=False)) + 1
         want.append(certify(a, SubsetIndex(cols, a.m)))
     assert uniform_baseline(a, 5, seed=8, trials=trials) == want
@@ -290,13 +291,14 @@ def test_select_zero_kappa_is_legal():
 
 
 def _per_draw_halve_step(a, parent, epsilon_budget, seed, max_retries=64):
-    """Reference oracle: halve_step as it was before its draws became index
-    arrays, with a validated SubsetIndex and a public certificate per draw."""
+    """Reference oracle: the halving step as it was before its draws became
+    index arrays, with a validated SubsetIndex and a public certificate per
+    draw. Returns None when every draw is rejected."""
     p = len(parent)
     lo, hi = cardinality_window(p)
     parent_arr = np.asarray(parent.indices, dtype=np.intp)
     for retry in range(max_retries):
-        rng = make_rng(child_seed(seed, retry))
+        rng = np.random.default_rng(child_seed(seed, retry))
         keep = rng.integers(0, 2, size=p).astype(bool)
         size = int(keep.sum())
         if size < 1 or size < lo or size > hi:
@@ -305,10 +307,30 @@ def _per_draw_halve_step(a, parent, epsilon_budget, seed, max_retries=64):
         dev = certify(a, child).epsilon_achieved
         if dev <= epsilon_budget:
             return child, HalvingStep(p, size, dev, retry, seed)
-    raise RetriesExhausted(
-        f"no accepted halving of a size-{p} subset in {max_retries} draws "
-        f"(budget {epsilon_budget})"
-    )
+    return None
+
+
+def _per_draw_cascade(a, epsilon, seed, max_retries, min_size, kappa):
+    """Reference cascade: select_subset's stops around _per_draw_halve_step.
+    Returns the certificate, the trace and the stop that ended it."""
+    floor = _size_floor(a.n, coherence(a).t, epsilon, kappa)
+    current, steps = SubsetIndex.full(a.m), []
+    while True:
+        if len(current) <= min_size:
+            stop = "min_size"
+            break
+        if len(current) / 2 < floor:
+            stop = "floor"
+            break
+        halved = _per_draw_halve_step(
+            a, current, epsilon, child_seed(seed, len(steps)), max_retries
+        )
+        if halved is None:
+            stop = "retries"
+            break
+        current, step = halved
+        steps.append(step)
+    return certify(a, current), SelectionTrace(tuple(steps), current, epsilon), stop
 
 
 ORACLE_INSTANCES = {
@@ -326,29 +348,28 @@ def test_halve_step_matches_per_draw_oracle(kind, budget):
     for parent in parents:
         for seed in range(6):
             for max_retries in (4, 64):
-                try:
-                    want = _per_draw_halve_step(a, parent, budget, seed, max_retries)
-                except RetriesExhausted as exc:
-                    with pytest.raises(RetriesExhausted) as got:
-                        halve_step(a, parent, budget, seed, max_retries)
-                    assert str(got.value) == str(exc)
+                want = _per_draw_halve_step(a, parent, budget, seed, max_retries)
+                got = _halve_step(a, parent.zero_based(), budget, seed, max_retries)
+                if want is None:
+                    assert got is None
                     continue
                 # dataclass ==, so deviation_after compares by float ==
-                assert halve_step(a, parent, budget, seed, max_retries) == want
-
-
-def test_halve_step_checks_parent_width_before_drawing(monkeypatch):
-    draws = []
-
-    def counted(*args):
-        draws.append(args)
-        return trial_rngs(*args)
-
-    monkeypatch.setattr(selection, "trial_rngs", counted)
-    a = gen_walsh(4, 16)
-    with pytest.raises(OrthoSubselectError, match="over 1..32"):
-        halve_step(a, SubsetIndex.full(32), 0.5, seed=0)
-    assert draws == []
+                assert (SubsetIndex(got[0] + 1, a.m), got[1]) == want
+    if budget == 0.0:  # select_subset takes epsilon in (0, 1)
+        return
+    # whole cascades: (min_size, kappa) 1 and 0 stop only on exhausted
+    # retries; a quarter of the columns or the default floor may stop first
+    stops = set()
+    for seed in range(6):
+        for max_retries in (4, 64):
+            for min_size, kappa in ((1, 0.0), (a.m // 4, 0.0), (1, 0.25)):
+                cert, trace, stop = _per_draw_cascade(a, budget, seed, max_retries,
+                                                      min_size, kappa)
+                got = select_subset(a, budget, seed, max_retries, min_size, kappa)
+                assert got == (cert, trace)
+                stops.add(stop)
+    if budget == 0.9:  # loose enough that every instance meets every stop
+        assert stops == {"retries", "min_size", "floor"}
 
 
 @pytest.fixture(scope="module")

@@ -65,11 +65,11 @@ def test_gram_extremes_matches_walsh_oracle(log_n, log_ratio, keep, seed):
 
 def test_study_n128_tie_census(monkeypatch, tmp_path):
     # every Gram the criterion-3 study extended to n = 128 evaluates, decided
-    # again exactly: 921 window-valid draws in halve_step and the 50 trials'
+    # again exactly: 921 window-valid draws in _halve_step and the 50 trials'
     # final certificates. The counts follow the trajectories that the golden
     # record study_walsh_n128 pins; how rounding decides the ties is not pinned.
     draws, finals, in_step = [], [], []
-    gram_extremes, halve_step = selection._gram_extremes, selection.halve_step
+    gram_extremes, halve_step = selection._gram_extremes, selection._halve_step
 
     def recording(a, cols):
         out = gram_extremes(a, cols)
@@ -84,7 +84,7 @@ def test_study_n128_tie_census(monkeypatch, tmp_path):
             in_step.pop()
 
     monkeypatch.setattr(selection, "_gram_extremes", recording)
-    monkeypatch.setattr(selection, "halve_step", halving)
+    monkeypatch.setattr(selection, "_halve_step", halving)
     monkeypatch.chdir(tmp_path)
     argv = CASES["study_walsh_n128"]["argv"]
     assert argv[argv.index("--epsilon") + 1] == "0.5"
