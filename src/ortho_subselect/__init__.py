@@ -16,13 +16,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import OrthoSubselectError
 from .generators import CoherenceReport, coherence, gen_random_ortho, gen_trig, gen_walsh
-from .linalg import (
-    OrthoRowMatrix,
-    SubsetIndex,
-    orthonormalize_rows,
-    read_matrix_text,
-    write_matrix_text,
-)
+from .linalg import OrthoRowMatrix, orthonormalize_rows, read_matrix_text, write_matrix_text
 from .processes import (
     ProcessEstimate,
     check_ball_convexity,

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import OrthoSubselectError
 from .generators import coherence, gen_random_ortho, gen_trig, gen_walsh
 from .jsonio import dumps, format_float
-from .linalg import OrthoRowMatrix, SubsetIndex, read_matrix_text, write_matrix_text
+from .linalg import OrthoRowMatrix, read_matrix_text, write_matrix_text
 from .processes import (
     ProcessEstimate,
     check_ball_convexity,
@@ -164,14 +164,15 @@ def study_rows_to_csv(rows: list[StudyRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_subset_spec(spec: str, m: int) -> SubsetIndex:
-    """Subset from a certificate/trace JSON path or an inline index list."""
+def parse_subset_spec(spec: str) -> list[int]:
+    """Sorted, unchecked subset from a certificate/trace JSON path or an
+    inline index list; ``certify`` checks it against the matrix."""
     # os.path.exists, unlike Path.exists, is False for "" (not ".") and for
     # a name too long to be a file, such as a long inline list
     if os.path.exists(spec):
         try:
             data = json.loads(Path(spec).read_text(encoding="ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise OrthoSubselectError(f"{spec}: {exc}") from exc
         if isinstance(data, dict) and "subset" in data:
             arr = data["subset"]
@@ -191,7 +192,7 @@ def parse_subset_spec(spec: str, m: int) -> SubsetIndex:
             raise OrthoSubselectError(f"cannot parse subset {spec!r}") from exc
         if not arr:
             raise OrthoSubselectError("empty subset specification")
-    return SubsetIndex.from_iterable(arr, m)
+    return sorted(arr)
 
 
 def cmd_gen(args) -> int:
@@ -238,8 +239,7 @@ def cmd_certify(args) -> int:
     if not (math.isfinite(args.epsilon) and args.epsilon >= 0.0):
         raise OrthoSubselectError(f"epsilon must be finite and >= 0, got {args.epsilon}")
     a = OrthoRowMatrix(read_matrix_text(args.input))
-    subset = parse_subset_spec(args.subset, a.m)
-    cert = certify(a, subset)
+    cert = certify(a, parse_subset_spec(args.subset))
     print(dumps(certificate_to_dict(cert)))
     return 0 if cert.epsilon_achieved <= args.epsilon else 1
 
@@ -362,18 +362,38 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
+def _ascii(text: str) -> str:
+    """``text`` if it is ASCII without '_'. int() and float() also read
+    other scripts' digits and the digit group 1_0, and str.split() breaks at
+    non-ASCII spaces; the file formats allow none of these."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)  # argparse reports a ValueError as a usage error
+    return text
+
+
+def _int(text: str) -> int:
+    return int(_ascii(text))
+
+
+def _float(text: str) -> float:
+    return float(_ascii(text))
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as a usage error
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return value
 
 
+# argparse names the type in its message: "invalid int value: '1_0'"
+_int.__name__ = _positive_int.__name__ = "int"
+_float.__name__ = "float"
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        if "_" in text:  # int() reads the digit group 1_0 as 10
-            raise ValueError(text)
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        return [int(tok) for tok in _ascii(text).replace(",", " ").split()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from exc
 
@@ -388,19 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance matrix")
     p.add_argument("--kind", required=True, choices=("walsh", "trig", "random"))
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--M", required=True, type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", required=True, type=_int)
+    p.add_argument("--M", required=True, type=_int)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("select", help="run the halving selection")
     p.add_argument("--input", required=True)
-    p.add_argument("--epsilon", required=True, type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
-    p.add_argument("--min-size", type=int, default=1)
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    p.add_argument("--epsilon", required=True, type=_float)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--max-retries", type=_int, default=DEFAULT_MAX_RETRIES)
+    p.add_argument("--min-size", type=_int, default=1)
+    p.add_argument("--kappa", type=_float, default=DEFAULT_KAPPA)
     p.add_argument("--output", required=True)
     p.add_argument("--trace")
     p.set_defaults(func=cmd_select)
@@ -409,18 +429,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--subset", required=True,
                    help="certificate/trace JSON path or index list '3,7,11'")
-    p.add_argument("--epsilon", required=True, type=float)
+    p.add_argument("--epsilon", required=True, type=_float)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("study", help="scaling sweep over n, CSV output")
     p.add_argument("--kind", required=True, choices=("walsh", "trig", "random"))
     p.add_argument("--n-list", required=True, type=_int_list)
-    p.add_argument("--m-factor", required=True, type=int,
+    p.add_argument("--m-factor", required=True, type=_int,
                    help="integer f in the size rule M = f*n")
-    p.add_argument("--epsilon", required=True, type=float)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    p.add_argument("--epsilon", required=True, type=_float)
+    p.add_argument("--trials", type=_int, default=10)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--kappa", type=_float, default=DEFAULT_KAPPA)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_study)
 
@@ -428,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    choices=("process", "sudakov", "quasimetric", "all"))
     p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -8,7 +8,8 @@ pure and never mutates its arguments.
 
 Public functions check their inputs; orthonormality and rank use the fixed
 tolerance ``ORTHO_TOL``. ``_gram_extremes``, the one home of the deviation
-formula, takes 0-based column indices and checks nothing.
+formula, takes 0-based column indices and checks nothing; a 1-based subset
+is checked once, by ``selection.certify``.
 
 ``read_matrix_text`` reads its file once. Plain files go through numpy's C
 parser; any other file, and any plain file that parser does not return as
@@ -73,50 +74,6 @@ class OrthoRowMatrix:
         return self.mat.shape[1]
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
-    """Strictly increasing 1-based column indices into a width-``m`` matrix."""
-
-    indices: tuple[int, ...]
-    m: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices)
-        if idx.ndim == 1 and idx.dtype.kind in "fO" and all(
-            type(x) is int for x in self.indices
-        ):  # ints beyond int64, which numpy holds as floats or objects
-            idx = np.asarray(self.indices, dtype=object)
-        elif idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-            raise OrthoSubselectError(f"indices must be flat integers, got {idx.dtype}")
-        bad = idx[1:] <= idx[:-1]
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            if idx[j] == idx[j + 1]:
-                raise OrthoSubselectError(f"duplicate index {idx[j]}")
-            raise OrthoSubselectError("indices must be strictly increasing")
-        if idx.size and (idx[0] < 1 or idx[-1] > self.m):
-            raise OrthoSubselectError(
-                f"indices must lie in 1..{self.m}, got range "
-                f"[{idx[0]}, {idx[-1]}]"
-            )
-        object.__setattr__(self, "indices", tuple(idx.tolist()))
-
-    @classmethod
-    def from_iterable(cls, indices, m: int) -> "SubsetIndex":
-        """Sort ``indices`` and build a subset; duplicates are rejected."""
-        return cls(tuple(sorted(indices)), m)
-
-    @classmethod
-    def full(cls, m: int) -> "SubsetIndex":
-        return cls(np.arange(1, m + 1), m)
-
-    def zero_based(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.intp) - 1
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
 def orthonormalize_rows(m) -> OrthoRowMatrix:
     """Orthonormalize the rows of ``m``, preserving their span.
 
@@ -137,13 +94,6 @@ def orthonormalize_rows(m) -> OrthoRowMatrix:
             f"row {i + 1} is linearly dependent (residual norm {abs(rdiag[i]):.3e})"
         )
     return OrthoRowMatrix((q * np.sign(rdiag)).T)
-
-
-def _check_subset(a: OrthoRowMatrix, i: SubsetIndex) -> None:
-    if len(i) == 0:
-        raise OrthoSubselectError("subset must contain at least one column index")
-    if i.m != a.m:
-        raise OrthoSubselectError(f"subset is over 1..{i.m} but matrix has {a.m} columns")
 
 
 def _gram_extremes(a: OrthoRowMatrix, cols: np.ndarray) -> tuple[float, float, float]:

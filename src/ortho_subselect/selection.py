@@ -7,9 +7,11 @@ deviation of the child stays within the budget. Acceptance on the *global*
 deviation makes every certificate sound by construction: no step is ever
 kept on the strength of a probabilistic estimate alone.
 
-``select_subset`` checks its arguments once and runs the cascade on 0-based
-column arrays through the unchecked ``_halve_step``, the one place that
-decides a draw; the only ``SubsetIndex`` it builds is the final subset's.
+A subset is a tuple of strictly increasing 1-based column indices.
+``certify``, the one public function that takes one, checks it once with
+``_subset_columns``. ``select_subset`` checks its arguments once and runs the
+cascade on 0-based column arrays through the unchecked ``_halve_step``, the
+one place that decides a draw; ``_certificate`` takes such arrays unchecked.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import OrthoSubselectError
 from .generators import coherence
-from .linalg import OrthoRowMatrix, SubsetIndex, _check_subset, _gram_extremes
+from .linalg import OrthoRowMatrix, _gram_extremes
 from .rng import child_seed, trial_rngs
 
 DEFAULT_MAX_RETRIES = 64
@@ -49,7 +51,7 @@ class HalvingStep:
 @dataclass(frozen=True)
 class SelectionTrace:
     steps: tuple[HalvingStep, ...]
-    final_subset: SubsetIndex
+    final_subset: tuple[int, ...]
     epsilon_target: float
 
 
@@ -63,7 +65,7 @@ class IsometryCertificate:
 
     n: int
     m: int
-    subset: SubsetIndex
+    subset: tuple[int, ...]
     lambda_min: float
     lambda_max: float
     epsilon_achieved: float
@@ -143,28 +145,52 @@ def select_subset(
             break
         cols, step = halved
         steps.append(step)
-    final = SubsetIndex(cols + 1, a.m)
-    return _certificate(a, final, t), SelectionTrace(tuple(steps), final, epsilon)
+    cert = _certificate(a, cols, t)
+    return cert, SelectionTrace(tuple(steps), cert.subset, epsilon)
 
 
-def certify(a: OrthoRowMatrix, i: SubsetIndex) -> IsometryCertificate:
-    """Exact certificate for ``i``: eigen extremes of (M/|I|) A_I A_I^T."""
-    _check_subset(a, i)
-    return _certificate(a, i, coherence(a).t)
+def certify(a: OrthoRowMatrix, subset) -> IsometryCertificate:
+    """Exact certificate for ``subset``, any sequence of strictly increasing
+    1-based column indices of ``a``: eigen extremes of (M/|I|) A_I A_I^T."""
+    return _certificate(a, _subset_columns(subset, a.m), coherence(a).t)
 
 
-def _certificate(a: OrthoRowMatrix, i: SubsetIndex, t: float) -> IsometryCertificate:
-    """certify(a, i) without its check, given the coherence t of ``a``."""
-    lambda_min, lambda_max, eps = _gram_extremes(a, i.zero_based())
+def _subset_columns(subset, m: int) -> np.ndarray:
+    """0-based intp columns of the nonempty, strictly increasing, 1-based
+    integer sequence ``subset`` over a width-``m`` matrix."""
+    idx = np.asarray(subset)
+    if idx.ndim == 1 and idx.dtype.kind in "fO" and all(type(x) is int for x in subset):
+        idx = np.asarray(subset, dtype=object)  # ints beyond int64: floats or objects
+    elif idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise OrthoSubselectError(f"indices must be flat integers, got {idx.dtype}")
+    bad = idx[1:] <= idx[:-1]
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        if idx[j] == idx[j + 1]:
+            raise OrthoSubselectError(f"duplicate index {idx[j]}")
+        raise OrthoSubselectError("indices must be strictly increasing")
+    if not idx.size:
+        raise OrthoSubselectError("subset must contain at least one column index")
+    if idx[0] < 1 or idx[-1] > m:
+        raise OrthoSubselectError(
+            f"indices must lie in 1..{m}, got range [{idx[0]}, {idx[-1]}]"
+        )
+    return idx.astype(np.intp) - 1
+
+
+def _certificate(a: OrthoRowMatrix, cols: np.ndarray, t: float) -> IsometryCertificate:
+    """Certificate of the nonempty 0-based columns ``cols``, unchecked, given
+    the coherence t of ``a``."""
+    lambda_min, lambda_max, eps = _gram_extremes(a, cols)
     return IsometryCertificate(
         n=a.n,
         m=a.m,
-        subset=i,
+        subset=tuple((cols + 1).tolist()),
         lambda_min=lambda_min,
         lambda_max=lambda_max,
         epsilon_achieved=eps,
         coherence_t=t,
-        scale=a.m / len(i),
+        scale=a.m / len(cols),
     )
 
 
@@ -180,14 +206,11 @@ def uniform_baseline(
         raise OrthoSubselectError(f"size must be in 1..{a.m}, got {size}")
     if trials < 1:
         raise OrthoSubselectError(f"trials must be >= 1, got {trials}")
-
     t = coherence(a).t
-
-    def one_trial(rng: np.random.Generator) -> IsometryCertificate:
-        cols = np.sort(rng.choice(a.m, size=size, replace=False)) + 1
-        return _certificate(a, SubsetIndex(cols, a.m), t)
-
-    return [one_trial(rng) for rng in trial_rngs(seed, trials)]
+    return [
+        _certificate(a, np.sort(rng.choice(a.m, size=size, replace=False)), t)
+        for rng in trial_rngs(seed, trials)
+    ]
 
 
 def certificate_to_dict(cert: IsometryCertificate) -> dict:
@@ -195,7 +218,7 @@ def certificate_to_dict(cert: IsometryCertificate) -> dict:
     return {
         "n": cert.n,
         "M": cert.m,
-        "subset": list(cert.subset.indices),
+        "subset": list(cert.subset),
         "lambda_min": cert.lambda_min,
         "lambda_max": cert.lambda_max,
         "epsilon_achieved": cert.epsilon_achieved,
@@ -209,5 +232,5 @@ def trace_to_dict(trace: SelectionTrace) -> dict:
     return {
         "epsilon_target": trace.epsilon_target,
         "steps": [asdict(s) for s in trace.steps],  # fields in key order
-        "final_subset": list(trace.final_subset.indices),
+        "final_subset": list(trace.final_subset),
     }

@@ -17,7 +17,6 @@ import numpy as np
 
 from ortho_subselect import (
     OrthoRowMatrix,
-    SubsetIndex,
     certify,
     check_ball_convexity,
     check_quasi_triangle,
@@ -68,7 +67,7 @@ def test_criterion_01_exact_isometry_baseline():
                 mats = [gen_walsh(n, m), gen_trig(n, m),
                         gen_random_ortho(n, m, seed=n + factor)]
                 for a in mats:
-                    assert certify(a, SubsetIndex.full(m)).epsilon_achieved <= 1e-10
+                    assert certify(a, range(1, m + 1)).epsilon_achieved <= 1e-10
 
 
 def test_criterion_02_certificate_soundness():
@@ -162,8 +161,7 @@ def test_criterion_08_exhaustive_oracle_on_tiny_instances():
             devs = {}
             for size in range(1, 9):
                 for combo in itertools.combinations(range(1, 9), size):
-                    subset = SubsetIndex(combo, 8)
-                    dev = certify(a, subset).epsilon_achieved
+                    dev = certify(a, combo).epsilon_achieved
                     devs[combo] = dev
                     if dev <= eps and best is None:
                         best = size
@@ -222,7 +220,7 @@ def _selection_subsets():
         step_seed = child_seed(child_seed(0, n, trial), 0)
         rng = np.random.default_rng(child_seed(step_seed, retry))
         keep = rng.integers(0, 2, size=a.m).astype(bool)
-        pairs.append((a, SubsetIndex(np.flatnonzero(keep) + 1, a.m)))
+        pairs.append((a, np.flatnonzero(keep) + 1))
     a = gen_walsh(16, 256)
     for seed in range(4):
         _, trace = select_subset(a, 0.5, seed=seed)
@@ -230,7 +228,7 @@ def _selection_subsets():
         for step in trace.steps:  # replay each accepted draw
             rng = np.random.default_rng(child_seed(step.seed, step.retries_used))
             cols = cols[rng.integers(0, 2, size=len(cols)).astype(bool)]
-            pairs.append((a, SubsetIndex(cols + 1, a.m)))
+            pairs.append((a, cols + 1))
     assert len(pairs) == 7
     return pairs
 
@@ -241,8 +239,7 @@ def _random_subsets():
     rng = np.random.default_rng(77)
     pairs = []
     for seed in range(100):
-        cols = rng.choice(40, size=int(rng.integers(1, 41)), replace=False) + 1
-        subset = SubsetIndex.from_iterable(cols, 40)
+        subset = np.sort(rng.choice(40, size=int(rng.integers(1, 41)), replace=False)) + 1
         pairs.append((gen_random_ortho(10, 40, seed=seed), subset))
     return pairs
 
@@ -250,7 +247,7 @@ def _random_subsets():
 def test_criterion_09_eigensolver_oracle():
     with Criterion(9, "eigen extremes match serial Jacobi to 1e-8", 5):
         for a, subset in _random_subsets() + _selection_subsets():
-            x = a.mat[:, subset.zero_based()]
+            x = a.mat[:, subset - 1]
             lo, hi = _serial_jacobi_extremes(a.m / len(subset) * (x @ x.T))
             cert = certify(a, subset)
             assert abs(cert.lambda_min - lo) <= 1e-8

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import io
 import json
@@ -9,6 +10,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ortho_subselect import (
     OrthoRowMatrix,
@@ -384,9 +387,10 @@ def test_certify_rejects_underscore_digit_groups(tmp_path):
     assert "'_' is not allowed" in res.stderr
 
 
-@pytest.mark.parametrize("subset", ["1_0", "1,1_0"])
+@pytest.mark.parametrize("subset", ["1_0", "1,1_0", "\u0661,\u0662,\u0663"])
 def test_certify_rejects_underscore_digit_groups_in_inline_subset(tmp_path, subset):
-    # int() reads 1_0 as 10, a valid column of this 4x16 matrix
+    # int() reads 1_0 as 10, a valid column of this 4x16 matrix, and the
+    # Arabic-Indic digits 1,2,3 as 1, 2 and 3
     mat = tmp_path / "w.txt"
     run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
             "--output", str(mat))
@@ -404,6 +408,87 @@ def test_study_rejects_underscore_digit_groups_in_n_list(tmp_path):
     assert res.returncode == 2
     assert "not an integer list: '8,1_6'" in res.stderr
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_certify_deeply_nested_subset_file_is_an_error_line(tmp_path):
+    # json recurses once per bracket, so 200,000 of them pass Python's
+    # recursion limit
+    mat = tmp_path / "w.txt"
+    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
+            "--output", str(mat))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="ascii")
+    res = run_cli("certify", "--input", str(mat), "--subset", str(deep),
+                  "--epsilon", "0.5")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {deep}: ")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
+def test_every_numeric_flag_rejects_what_the_file_formats_reject():
+    # int() and float() read other scripts' digits and the digit group 1_0
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    typed = [action for sub in commands.choices.values() for action in sub._actions
+             if action.type is not None]
+    assert len(typed) == 17
+    for action in typed:
+        for text in ("1_0", "\u0661\u0660", "\u0660.\u0665", "1\u20032"):
+            with pytest.raises((ValueError, argparse.ArgumentTypeError)):
+                action.type(text)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["select", "--input", "w.txt", "--output", "c.json", "--epsilon", "0.5",
+      "--seed", "1_0"], "argument --seed: invalid int value: '1_0'"),
+    (["select", "--input", "w.txt", "--output", "c.json", "--epsilon", "\u0660.\u0665",
+      "--seed", "\u0661\u0660"], "argument --epsilon: invalid float value: '\u0660.\u0665'"),
+    (["study", "--kind", "walsh", "--n-list", "\u0668,16", "--m-factor", "16",
+      "--epsilon", "0.5", "--output", "s.csv"],
+     "argument --n-list: not an integer list: '\u0668,16'"),
+    (["verify", "--suite", "sudakov", "--trials", "\u0662"],
+     "argument --trials: invalid int value: '\u0662'"),
+], ids=["seed-digit-group", "arabic-indic-digits", "n-list", "positive-int"])
+def test_non_ascii_or_grouped_numbers_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                      argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+_NUMBER_TEXTS = st.one_of(
+    st.integers().map(str),
+    st.floats().map(str),
+    st.text(alphabet=" ,+-.0123456789_eEinfatyx\u0660\u0665\u00a0\u2003", max_size=8),
+    st.text(max_size=4),
+)
+
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text))  # repr tells -0.0 from 0.0 and nan from itself
+    except (ValueError, argparse.ArgumentTypeError):
+        return "rejected"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_NUMBER_TEXTS)
+def test_numeric_flag_types_read_plain_ascii_like_int_and_float(text):
+    def builtin_list(t):
+        return [int(tok) for tok in t.replace(",", " ").split()]
+
+    plain = text.isascii() and "_" not in text
+    for ours, builtin in ((cli._int, int), (cli._float, float),
+                          (cli._int_list, builtin_list)):
+        want = _outcome(builtin, text) if plain else "rejected"
+        assert _outcome(ours, text) == want
 
 
 def test_select_rejects_non_orthonormal_matrix(tmp_path):

@@ -1,6 +1,8 @@
+import functools
 import math
 import re
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ortho_subselect import (
+    IsometryCertificate,
     OrthoRowMatrix,
     OrthoSubselectError,
-    SubsetIndex,
     orthonormalize_rows,
     read_matrix_text,
     write_matrix_text,
@@ -169,7 +171,7 @@ def test_certify_recovers_planted_spectrum():
     c = np.array([0.05, 0.2, 0.35, 0.5, 0.75, 0.9])
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     a = OrthoRowMatrix(np.hstack([q * np.sqrt(c), q * np.sqrt(1.0 - c)]))
-    cert = certify(a, SubsetIndex.from_iterable(range(1, 7), 12))
+    cert = certify(a, range(1, 7))
     assert abs(cert.lambda_min - 2.0 * c.min()) <= 1e-8
     assert abs(cert.lambda_max - 2.0 * c.max()) <= 1e-8
 
@@ -182,12 +184,12 @@ def test_gram_full_set_is_identity():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((3, 12))
     a = orthonormalize_rows(m)
-    cert = certify(a, SubsetIndex.full(12))
+    cert = certify(a, range(1, 13))
     assert max(1.0 - cert.lambda_min, cert.lambda_max - 1.0) <= ORTHO_TOL
 
 
 def test_gram_single_column():
-    cert = certify(_flat_row(0.8), SubsetIndex((1,), 2))
+    cert = certify(_flat_row(0.8), (1,))
     assert abs(cert.lambda_min - 1.6) <= 1e-12  # (M/|I|) * 0.8
     assert cert.lambda_max == cert.lambda_min
 
@@ -199,7 +201,7 @@ def test_gram_additive_over_disjoint_subsets():
     idx = rng.permutation(20) + 1
 
     def gram(cols):
-        cert = certify(a, SubsetIndex.from_iterable(cols, a.m))
+        cert = certify(a, np.sort(cols))
         return len(cols) / a.m * cert.lambda_max
 
     assert abs(gram(idx[:7]) + gram(idx[7:16]) - gram(idx[:16])) <= 1e-12
@@ -208,27 +210,29 @@ def test_gram_additive_over_disjoint_subsets():
 def test_gram_errors():
     a = _flat_row(0.5)
     with pytest.raises(OrthoSubselectError, match="at least one column"):
-        certify(a, SubsetIndex((), 2))
+        certify(a, ())
     with pytest.raises(OrthoSubselectError, match=re.escape("in 1..2, got range [0, 1]")):
-        SubsetIndex((0, 1), 2)
+        certify(a, (0, 1))
     with pytest.raises(OrthoSubselectError, match=re.escape("in 1..2, got range [1, 3]")):
-        SubsetIndex((1, 3), 2)
+        certify(a, (1, 3))
     with pytest.raises(OrthoSubselectError, match="indices must be strictly increasing"):
-        SubsetIndex((2, 1), 2)
-    with pytest.raises(OrthoSubselectError, match="over 1..3 but matrix has 2 columns"):
-        certify(a, SubsetIndex((1,), 3))  # width mismatch
+        certify(a, (2, 1))
+    # a subset carries no width: one valid for a wider matrix is out of range
+    with pytest.raises(OrthoSubselectError, match=re.escape("in 1..2, got range [1, 3]")):
+        certify(a, (1, 2, 3))
 
 
 def test_subset_index_requires_flat_integers(tmp_path):
+    a = gen_trig(2, 4)
     flat = "indices must be flat integers, got "
     with pytest.raises(OrthoSubselectError, match=flat + "float64"):
-        SubsetIndex((1.7, 2.2), 4)  # int() would have truncated to (1, 2)
+        certify(a, (1.7, 2.2))  # int() would have truncated to (1, 2)
     with pytest.raises(OrthoSubselectError, match=flat + "bool"):
-        SubsetIndex((True, False), 4)
+        certify(a, (True, False))
     with pytest.raises(OrthoSubselectError, match=flat + "int"):  # int32 on Windows
-        SubsetIndex(((1, 2),), 4)
+        certify(a, ((1, 2),))
     with pytest.raises(OrthoSubselectError, match=flat + "object"):
-        SubsetIndex((1.5, 10**20), 4)
+        certify(a, (1.5, 10**20))
     # ints past int64 reach the range check, inline and from a JSON file
     huge = "99999999999999999999"
     (tmp_path / "huge.json").write_text(f"[1, {huge}]", encoding="ascii")
@@ -236,33 +240,155 @@ def test_subset_index_requires_flat_integers(tmp_path):
                          (f"5,{2**63}", 5, 2**63)):
         with pytest.raises(OrthoSubselectError,
                            match=re.escape(f"in 1..4, got range [{lo}, {hi}]")):
-            parse_subset_spec(spec, 4)
-    i = SubsetIndex(np.array([2, 3], dtype=np.intp), 4)
-    assert i == SubsetIndex((2, 3), 4)
-    assert all(type(x) is int for x in i.indices)
-    assert len(SubsetIndex((), 4)) == 0
-    assert SubsetIndex.from_iterable({3, 1}, 4).indices == (1, 3)
+            certify(a, parse_subset_spec(spec))
+    cert = certify(a, np.array([2, 3], dtype=np.intp))
+    assert cert == certify(a, (2, 3))
+    assert all(type(x) is int for x in cert.subset)
+    for empty in ((), np.array([], dtype=np.intp)):
+        with pytest.raises(OrthoSubselectError, match="at least one column"):
+            certify(a, empty)
+    assert parse_subset_spec("3,1") == [1, 3]
+    assert certify(a, sorted({3, 1})).subset == (1, 3)
     with pytest.raises(OrthoSubselectError, match="duplicate index 2"):
-        SubsetIndex.from_iterable([2, 1, 2], 4)
+        certify(a, parse_subset_spec("2,1,2"))
     with pytest.raises(OrthoSubselectError, match="strictly increasing"):
-        SubsetIndex((2, 1, 1), 4)
+        certify(a, (2, 1, 1))
+
+
+@dataclass(frozen=True)
+class SubsetIndex:
+    """Strictly increasing 1-based column indices into a width-``m`` matrix.
+
+    Test oracle: the validated subset type that ``certify``'s own check
+    replaced, kept verbatim.
+    """
+
+    indices: tuple[int, ...]
+    m: int
+
+    def __post_init__(self):
+        idx = np.asarray(self.indices)
+        if idx.ndim == 1 and idx.dtype.kind in "fO" and all(
+            type(x) is int for x in self.indices
+        ):  # ints beyond int64, which numpy holds as floats or objects
+            idx = np.asarray(self.indices, dtype=object)
+        elif idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise OrthoSubselectError(f"indices must be flat integers, got {idx.dtype}")
+        bad = idx[1:] <= idx[:-1]
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            if idx[j] == idx[j + 1]:
+                raise OrthoSubselectError(f"duplicate index {idx[j]}")
+            raise OrthoSubselectError("indices must be strictly increasing")
+        if idx.size and (idx[0] < 1 or idx[-1] > self.m):
+            raise OrthoSubselectError(
+                f"indices must lie in 1..{self.m}, got range "
+                f"[{idx[0]}, {idx[-1]}]"
+            )
+        object.__setattr__(self, "indices", tuple(idx.tolist()))
+
+    @classmethod
+    def from_iterable(cls, indices, m: int) -> "SubsetIndex":
+        """Sort ``indices`` and build a subset; duplicates are rejected."""
+        return cls(tuple(sorted(indices)), m)
+
+    @classmethod
+    def full(cls, m: int) -> "SubsetIndex":
+        return cls(np.arange(1, m + 1), m)
+
+    def zero_based(self) -> np.ndarray:
+        return np.asarray(self.indices, dtype=np.intp) - 1
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+
+def _oracle_certificate(a: OrthoRowMatrix, subset) -> IsometryCertificate:
+    """certify as it was: SubsetIndex, then the nonempty check, then the
+    certificate of the oracle's columns."""
+    i = SubsetIndex(subset, a.m)
+    if len(i) == 0:
+        raise OrthoSubselectError("subset must contain at least one column index")
+    lambda_min, lambda_max, eps = linalg._gram_extremes(a, i.zero_based())
+    return IsometryCertificate(a.n, a.m, i.indices, lambda_min, lambda_max, eps,
+                               generators.coherence(a).t, a.m / len(i))
+
+
+@functools.lru_cache(maxsize=None)
+def _width_matrix(m: int) -> OrthoRowMatrix:
+    return gen_trig(min(3, m), m)
+
+
+_INT_DTYPES = {"int32": np.int32, "int64": np.int64, "uint64": np.uint64}
+
+
+@st.composite
+def _subset_candidates(draw, m):
+    """Index sequences for a width-``m`` matrix, valid ones included."""
+    near = st.integers(-2, m + 2)
+    big = st.one_of(st.integers(2**63 - 2, 2**64 + 2),
+                    st.integers(-(2**63) - 2, -(2**63) + 2))
+    element = st.one_of(
+        near,
+        big,
+        st.booleans(),
+        st.floats(),
+        near.map(float),
+        st.lists(near, min_size=1, max_size=2),
+    )
+    shape = draw(st.sampled_from(["valid", "sorted", "ints", "mixed", "nested", "array"]))
+    if shape == "array":
+        dtype = _INT_DTYPES[draw(st.sampled_from(sorted(_INT_DTYPES)))]
+        seq = draw(st.lists(st.integers(0 if dtype is np.uint64 else -2, m + 2),
+                            max_size=6))
+        return np.array(sorted(set(seq)) if draw(st.booleans()) else seq, dtype=dtype)
+    if shape == "valid":
+        seq = sorted(draw(st.sets(st.integers(1, m), min_size=1, max_size=m)))
+    elif shape == "sorted":  # increasing, some of it out of range
+        seq = sorted(draw(st.sets(st.one_of(st.integers(1, m), near, big), max_size=6)))
+    elif shape == "ints":  # unsorted, duplicated, empty and out-of-range lists
+        seq = draw(st.lists(st.one_of(near, st.integers(1, m)), max_size=6))
+    elif shape == "mixed":
+        seq = draw(st.lists(element, max_size=4))
+    else:
+        seq = draw(st.lists(st.lists(near, min_size=2, max_size=2), max_size=3))
+    return tuple(seq) if draw(st.booleans()) else seq
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_certify_checks_subsets_like_the_subset_index_oracle(data):
+    m = data.draw(st.integers(1, 64), label="m")
+    a = _width_matrix(m)
+    subset = data.draw(_subset_candidates(m), label="subset")
+    try:
+        want = _oracle_certificate(a, subset)
+    except Exception as exc:  # numpy's own ValueErrors included
+        with pytest.raises(Exception) as got:
+            certify(a, subset)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+    else:
+        got = certify(a, subset)
+        assert got == want
+        assert all(type(x) is int for x in got.subset)
 
 
 def test_deviation_full_set_is_zero():
     rng = np.random.default_rng(4)
     a = orthonormalize_rows(rng.standard_normal((5, 17)))
-    assert certify(a, SubsetIndex.full(17)).epsilon_achieved <= 1e-10
+    assert certify(a, range(1, 18)).epsilon_achieved <= 1e-10
 
 
 def test_deviation_flat_half_is_exact():
     # 2 * (1/sqrt(2))^2 - 1 is zero up to one rounding of the square
     a = _flat_row(0.5)
-    assert certify(a, SubsetIndex((1,), 2)).epsilon_achieved <= 1e-12
+    assert certify(a, (1,)).epsilon_achieved <= 1e-12
 
 
 def test_deviation_single_column_value():
     a = _flat_row(0.8)
-    assert abs(certify(a, SubsetIndex((1,), 2)).epsilon_achieved - 0.6) <= 1e-12
+    assert abs(certify(a, (1,)).epsilon_achieved - 0.6) <= 1e-12
 
 
 def test_deviation_invariant_under_column_permutation():
@@ -270,10 +396,8 @@ def test_deviation_invariant_under_column_permutation():
     a = orthonormalize_rows(rng.standard_normal((3, 10)))
     perm = rng.permutation(10)
     b = OrthoRowMatrix(a.mat[:, perm])
-    subset = SubsetIndex.from_iterable([1, 4, 5, 9], 10)
-    moved = SubsetIndex.from_iterable(
-        [int(np.where(perm == j - 1)[0][0]) + 1 for j in subset.indices], 10
-    )
+    subset = [1, 4, 5, 9]
+    moved = sorted(int(np.where(perm == j - 1)[0][0]) + 1 for j in subset)
     dev = certify(a, subset).epsilon_achieved
     assert abs(dev - certify(b, moved).epsilon_achieved) <= 1e-12
 

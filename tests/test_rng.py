@@ -98,7 +98,7 @@ def test_public_names_are_pinned():
                     if not name.startswith("_") and not inspect.ismodule(value))
     assert public == [
         "CoherenceReport", "HalvingStep", "IsometryCertificate", "OrthoRowMatrix",
-        "OrthoSubselectError", "ProcessEstimate", "SelectionTrace", "SubsetIndex",
+        "OrthoSubselectError", "ProcessEstimate", "SelectionTrace",
         "cardinality_window", "certify", "check_ball_convexity",
         "check_quasi_triangle", "child_seed", "coherence",
         "estimate_process", "gaussian_sup_estimates", "gen_random_ortho", "gen_trig",

@@ -9,7 +9,6 @@ from ortho_subselect import (
     OrthoRowMatrix,
     OrthoSubselectError,
     SelectionTrace,
-    SubsetIndex,
     cardinality_window,
     certify,
     child_seed,
@@ -89,7 +88,7 @@ def test_halve_step_records_accepting_draw():
     rng = np.random.default_rng(child_seed(step.seed, step.retries_used))
     keep = rng.integers(0, 2, size=16).astype(bool)
     assert np.array_equal(np.arange(16)[keep], child)
-    assert certify(a, SubsetIndex(child + 1, 16)).epsilon_achieved == step.deviation_after
+    assert certify(a, child + 1).epsilon_achieved == step.deviation_after
 
 
 def test_select_flat_pair_reaches_singleton():
@@ -103,7 +102,7 @@ def test_select_min_size_full_keeps_everything():
     a = gen_walsh(8, 64)
     cert, trace = select_subset(a, 0.5, seed=0, min_size=64)
     assert len(trace.steps) == 0
-    assert cert.subset.indices == tuple(range(1, 65))
+    assert cert.subset == tuple(range(1, 65))
     assert cert.epsilon_achieved <= 1e-10
 
 
@@ -147,19 +146,19 @@ def test_select_scale_identity():
 def test_select_closed_form_for_one_row():
     a = skewed_pair()
     cert, _ = select_subset(a, 0.7, seed=4)
-    total = sum(a.mat[0, j - 1] ** 2 for j in cert.subset.indices)
+    total = sum(a.mat[0, j - 1] ** 2 for j in cert.subset)
     assert abs(cert.epsilon_achieved - abs(cert.scale * total - 1.0)) <= 1e-12
 
 
 def test_certify_full_set():
     a = gen_random_ortho(3, 9, seed=0)
-    cert = certify(a, SubsetIndex.full(9))
+    cert = certify(a, range(1, 10))
     assert cert.epsilon_achieved <= 1e-10
     assert cert.scale == 1.0
 
 
 def test_certify_skewed_singleton():
-    cert = certify(skewed_pair(), SubsetIndex((2,), 2))
+    cert = certify(skewed_pair(), (2,))
     assert abs(cert.lambda_max - 0.4) <= 1e-12
     assert abs(cert.epsilon_achieved - 0.6) <= 1e-12
 
@@ -169,11 +168,11 @@ def test_certify_dominates_sampled_quadratic_forms():
     # |scale * ||A_I^T x||^2 - 1| for every sampled unit x, up to roundoff.
     a = gen_walsh(8, 64)
     rng = np.random.default_rng(12)
-    subset = SubsetIndex.from_iterable(rng.choice(64, 24, replace=False) + 1, 64)
+    subset = np.sort(rng.choice(64, 24, replace=False)) + 1
     cert = certify(a, subset)
     x = rng.standard_normal((100_000, 8))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    cols = a.mat[:, subset.zero_based()]
+    cols = a.mat[:, subset - 1]
     vals = np.abs(cert.scale * np.sum((x @ cols) ** 2, axis=1) - 1.0)
     sampled = float(np.max(vals))
     assert sampled <= cert.epsilon_achieved + 1e-6
@@ -225,7 +224,7 @@ def test_uniform_baseline_matches_per_trial_loop(trials):
     for k in range(trials):
         rng = np.random.default_rng(child_seed(8, k))
         cols = np.sort(rng.choice(a.m, size=5, replace=False)) + 1
-        want.append(certify(a, SubsetIndex(cols, a.m)))
+        want.append(certify(a, cols))
     assert uniform_baseline(a, 5, seed=8, trials=trials) == want
 
 
@@ -292,18 +291,18 @@ def test_select_zero_kappa_is_legal():
 
 def _per_draw_halve_step(a, parent, epsilon_budget, seed, max_retries=64):
     """Reference oracle: the halving step as it was before its draws became
-    index arrays, with a validated SubsetIndex and a public certificate per
-    draw. Returns None when every draw is rejected."""
+    index arrays, with a tuple of 1-based indices and a public certificate
+    per draw. Returns None when every draw is rejected."""
     p = len(parent)
     lo, hi = cardinality_window(p)
-    parent_arr = np.asarray(parent.indices, dtype=np.intp)
+    parent_arr = np.asarray(parent)
     for retry in range(max_retries):
         rng = np.random.default_rng(child_seed(seed, retry))
         keep = rng.integers(0, 2, size=p).astype(bool)
         size = int(keep.sum())
         if size < 1 or size < lo or size > hi:
             continue
-        child = SubsetIndex(parent_arr[keep], parent.m)
+        child = tuple(parent_arr[keep].tolist())
         dev = certify(a, child).epsilon_achieved
         if dev <= epsilon_budget:
             return child, HalvingStep(p, size, dev, retry, seed)
@@ -314,7 +313,7 @@ def _per_draw_cascade(a, epsilon, seed, max_retries, min_size, kappa):
     """Reference cascade: select_subset's stops around _per_draw_halve_step.
     Returns the certificate, the trace and the stop that ended it."""
     floor = _size_floor(a.n, coherence(a).t, epsilon, kappa)
-    current, steps = SubsetIndex.full(a.m), []
+    current, steps = tuple(range(1, a.m + 1)), []
     while True:
         if len(current) <= min_size:
             stop = "min_size"
@@ -344,17 +343,17 @@ ORACLE_INSTANCES = {
 @pytest.mark.parametrize("budget", [0.0, 0.3, 0.5, 0.9])
 def test_halve_step_matches_per_draw_oracle(kind, budget):
     a = ORACLE_INSTANCES[kind]()
-    parents = [SubsetIndex.full(a.m), SubsetIndex(np.arange(1, a.m + 1, 3), a.m)]
+    parents = [tuple(range(1, a.m + 1)), tuple(range(1, a.m + 1, 3))]
     for parent in parents:
         for seed in range(6):
             for max_retries in (4, 64):
                 want = _per_draw_halve_step(a, parent, budget, seed, max_retries)
-                got = _halve_step(a, parent.zero_based(), budget, seed, max_retries)
+                got = _halve_step(a, np.asarray(parent) - 1, budget, seed, max_retries)
                 if want is None:
                     assert got is None
                     continue
                 # dataclass ==, so deviation_after compares by float ==
-                assert (SubsetIndex(got[0] + 1, a.m), got[1]) == want
+                assert (tuple((got[0] + 1).tolist()), got[1]) == want
     if budget == 0.0:  # select_subset takes epsilon in (0, 1)
         return
     # whole cascades: (min_size, kappa) 1 and 0 stop only on exhausted
@@ -419,7 +418,7 @@ def test_selection_grams_match_row_major_layout(monkeypatch, trig_32x16384):
         x = np.ascontiguousarray(a.mat)[:, cols]
         w = np.linalg.eigvalsh((a.m / len(cols)) * (x @ x.T))
         dev = max(float(w[-1]) - 1.0, 1.0 - float(w[0]))
-        assert certify(a, SubsetIndex(cols + 1, a.m)).epsilon_achieved == dev
+        assert certify(a, cols + 1).epsilon_achieved == dev
 
 
 @pytest.mark.parametrize("gen", [gen_walsh, gen_trig], ids=["walsh", "trig"])
@@ -446,4 +445,4 @@ def test_study_grams_are_exactly_symmetric(monkeypatch, gen):
         assert np.array_equal(g, g.T)
         w = np.linalg.eigvalsh((a.m / len(cols)) * g)
         dev = max(float(w[-1]) - 1.0, 1.0 - float(w[0]))
-        assert certify(a, SubsetIndex(cols + 1, a.m)).epsilon_achieved == dev
+        assert certify(a, cols + 1).epsilon_achieved == dev
