@@ -2,7 +2,9 @@
 
 Each record holds the argv, the input files it runs on and what the run
 produced: exit code, stdout, stderr and every file it wrote, plus a SHA-256
-of those exact bytes and the numpy/BLAS build that produced them.
+of those exact bytes and the numpy/BLAS build that produced them. A case
+marked ``digest_files`` keeps each written file's SHA-256 in place of its
+text, for files too large to keep.
 ``tests/test_golden.py`` replays every record in-process, and a few through a
 CLI process of their own, and compares.
 
@@ -153,6 +155,16 @@ CASES: dict[str, dict] = {
         "argv": ["select", "--input", "walsh.txt", "--epsilon", "1", "--output", "cert.json"],
         "inputs": WALSH,
     },
+    # gen output: the whole matrix file is kept by its SHA-256, here with M
+    # a square and not a square, and n a power of two and not
+    "gen_walsh_n16_m256": {
+        "argv": ["gen", "--kind", "walsh", "--n", "16", "--M", "256", "--output", "w.txt"],
+        "digest_files": True,
+    },
+    "gen_walsh_n100_m128": {
+        "argv": ["gen", "--kind", "walsh", "--n", "100", "--M", "128", "--output", "w.txt"],
+        "digest_files": True,
+    },
     # gen argument errors
     "gen_walsh_m12": {
         "argv": ["gen", "--kind", "walsh", "--n", "4", "--M", "12", "--output", "w.txt"],
@@ -249,6 +261,9 @@ def run_case(case: dict, workdir: Path, cache: Path, process: bool = False) -> d
         for p in sorted(workdir.iterdir())
         if p.name not in inputs
     }
+    if case.get("digest_files"):
+        files = {name: hashlib.sha256(text.encode("ascii")).hexdigest()
+                 for name, text in files.items()}
     return {"exit_code": code, "stdout": stdout, "stderr": stderr, "files": files}
 
 
@@ -277,8 +292,10 @@ def main(names: list[str]) -> None:
             workdir = Path(tmp) / name
             workdir.mkdir()
             outputs = run_case(case, workdir, cache)
-            record = {"argv": case["argv"], "inputs": case.get("inputs", {}),
-                      **outputs, "sha256": output_sha256(outputs), "env": env}
+            record = {"argv": case["argv"], "inputs": case.get("inputs", {})}
+            if case.get("digest_files"):
+                record["digest_files"] = True
+            record.update(outputs, sha256=output_sha256(outputs), env=env)
             (GOLDEN_DIR / f"{name}.json").write_text(
                 json.dumps(record, indent=1, ensure_ascii=True) + "\n", encoding="ascii"
             )

@@ -1,11 +1,12 @@
 """Replay the golden CLI records in tests/golden/ (written by record.py there).
 
 Exit codes, the text around every number (so JSON key order, check names
-and error lines), integers and subset lists are compared exactly. A number
-written as a float on either side is compared at a relative tolerance of
-1e-12, with an absolute floor of 1e-13 for the rounding noise of a quantity
-that is exactly 0 (a rank-deficient Gram's lambda_min, the deviation of the
-full column set). The exact bytes are compared through their SHA-256 only
+and error lines), integers, subset lists and the SHA-256 that a
+``digest_files`` record keeps in place of a file's text are compared
+exactly. A number written as a float on either side is compared at a
+relative tolerance of 1e-12, with an absolute floor of 1e-13 for the
+rounding noise of a quantity that is exactly 0 (a rank-deficient Gram's
+lambda_min, the deviation of the full column set). The exact bytes are compared through their SHA-256 only
 where numpy, its BLAS build and the CPU features match the record's.
 
 Every replay runs at the package's default of one OpenBLAS thread:
@@ -77,6 +78,7 @@ def test_every_case_has_its_record():
         record = load_record(name)
         assert record["argv"] == CASES[name]["argv"], name
         assert record["inputs"] == CASES[name].get("inputs", {}), name
+        assert record.get("digest_files") == CASES[name].get("digest_files"), name
 
 
 def assert_matches_record(got: dict, record: dict) -> None:
@@ -87,7 +89,10 @@ def assert_matches_record(got: dict, record: dict) -> None:
     assert_text_close(got["stdout"], record["stdout"], "stdout")
     assert_text_close(got["stderr"], record["stderr"], "stderr")
     for fname, text in record["files"].items():
-        assert_text_close(got["files"][fname], text, fname)
+        if record.get("digest_files"):  # a SHA-256, compared exactly
+            assert got["files"][fname] == text, fname
+        else:
+            assert_text_close(got["files"][fname], text, fname)
 
 
 def skip_unless_recorded_build(record: dict) -> None:
