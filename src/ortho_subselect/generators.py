@@ -1,7 +1,8 @@
 """Instance generators and the column-coherence report.
 
 Three families of orthonormal-row matrices: flat +-1/sqrt(M) sign matrices
-(Sylvester order, M a power of two), trigonometric rows (any M), which are
+(Sylvester order, M a power of two, built in place by Sylvester's doubling
+with no memory beyond the matrix), trigonometric rows (any M), which are
 orthogonal as sampled and only normalized, and seeded Gaussian row spaces,
 orthonormalized by QR. That QR is the one BLAS result written out; at large
 shapes it rounds per BLAS thread count, so ``gen_random_ortho``'s bytes are
@@ -36,18 +37,23 @@ def _check_shape(n: int, m: int) -> None:
 def gen_walsh(n: int, m: int) -> OrthoRowMatrix:
     """First n rows of the M x M Sylvester sign matrix, scaled by 1/sqrt(M).
 
-    Every entry is exactly +-1/sqrt(M), so the coherence t is 1.
+    Built by Sylvester's doubling straight into the M x n output, whose
+    transpose is the column-major n x M matrix, so the construction needs no
+    memory beyond the matrix. Every entry is exactly +-1/sqrt(M), so the
+    coherence t is 1.
     """
     if m < 1 or m & (m - 1):
         raise OrthoSubselectError(f"M must be a power of 2, got {m}")
     _check_shape(n, m)
-    j = np.arange(m, dtype=np.int64)[:, None]
-    i = np.arange(n, dtype=np.int64)[None, :]
-    x = j & i  # M x n, so its transpose is already column-major
-    for shift in (32, 16, 8, 4, 2, 1):  # parity of the popcount of i & j
-        x = x ^ (x >> shift)
-    signs = 1.0 - 2.0 * (x & 1)
-    return OrthoRowMatrix(signs.T / math.sqrt(m))
+    out = np.empty((m, n))
+    out[0] = 1.0
+    i = np.arange(n)
+    w = 1
+    while w < m:  # row j + w is row j, negated in the columns i with bit w set
+        np.multiply(out[:w], np.where(i & w, -1.0, 1.0), out=out[w : 2 * w])
+        w *= 2
+    out /= math.sqrt(m)
+    return OrthoRowMatrix(out.T)
 
 
 def gen_trig(n: int, m: int) -> OrthoRowMatrix:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from dataclasses import fields
@@ -136,6 +137,19 @@ def test_blas_thread_count_is_set_before_numpy_loads(preset):
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == f"{[preset or '1']}\n"
+
+
+def test_sudakov_threshold_is_the_normal_quantile_it_names():
+    assert cli.SUDAKOV_THRESHOLD == statistics.NormalDist().inv_cdf(1 - cli.VERIFY_ALPHA / 4)
+
+
+def test_cli_import_leaves_out_statistics_and_decimal():
+    # statistics loads decimal and fractions, half a MiB of RSS
+    code = ("import sys, ortho_subselect.cli; "
+            "print([m for m in ('statistics', 'decimal') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_usage_errors_exit_2(tmp_path):

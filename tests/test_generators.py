@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ortho_subselect import (
     OrthoRowMatrix,
@@ -10,6 +14,7 @@ from ortho_subselect import (
     gen_random_ortho,
     gen_trig,
     gen_walsh,
+    generators,
 )
 
 ALL_SHAPES = [(1, 2), (2, 4), (4, 8), (8, 64), (16, 256)]
@@ -36,6 +41,50 @@ def test_walsh_entries_flat_and_coherent():
 def test_walsh_rejects_non_power_of_two():
     with pytest.raises(OrthoSubselectError, match="M must be a power of 2, got 12"):
         gen_walsh(4, 12)
+
+
+def walsh_by_parity(n: int, m: int) -> np.ndarray:
+    """The popcount-parity construction that gen_walsh used before Sylvester's
+    doubling, kept as an independent oracle: entry (i, j) is
+    (-1)^popcount(i & j) / sqrt(M)."""
+    j = np.arange(m, dtype=np.int64)[:, None]
+    i = np.arange(n, dtype=np.int64)[None, :]
+    x = j & i  # M x n, so its transpose is already column-major
+    for shift in (32, 16, 8, 4, 2, 1):  # parity of the popcount of i & j
+        x = x ^ (x >> shift)
+    signs = 1.0 - 2.0 * (x & 1)
+    return signs.T / math.sqrt(m)
+
+
+@st.composite
+def walsh_shapes(draw):
+    m = 2 ** draw(st.integers(0, 12))
+    return draw(st.integers(1, m)), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(walsh_shapes())
+def test_walsh_matches_the_parity_construction(shape):
+    n, m = shape
+    with mock.patch.object(generators, "OrthoRowMatrix", wraps=OrthoRowMatrix) as spy:
+        a = gen_walsh(n, m)
+    assert a.mat.tobytes(order="F") == walsh_by_parity(n, m).tobytes(order="F")
+    assert a.mat.flags.f_contiguous
+    # the matrix is stored as built, not copied
+    assert np.shares_memory(spy.call_args.args[0], a.mat)
+
+
+@pytest.mark.parametrize("n, m", [(64, 1024), (256, 4096)])
+def test_walsh_memory_stays_near_the_matrix(n, m):
+    # the parity construction peaked at 3.2x the matrix, doubling at 1.2x
+    matrix = 8 * n * m
+    tracemalloc.start()
+    try:
+        gen_walsh(n, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * matrix
 
 
 def test_trig_dc_row():
