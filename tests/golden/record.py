@@ -155,8 +155,7 @@ CASES: dict[str, dict] = {
         "argv": ["select", "--input", "walsh.txt", "--epsilon", "1", "--output", "cert.json"],
         "inputs": WALSH,
     },
-    # gen output: the whole matrix file is kept by its SHA-256, here with M
-    # a square and not a square, and n a power of two and not
+    # gen output, the matrix file kept by its SHA-256; n = 100 is not a power of two
     "gen_walsh_n16_m256": {
         "argv": ["gen", "--kind", "walsh", "--n", "16", "--M", "256", "--output", "w.txt"],
         "digest_files": True,

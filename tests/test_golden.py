@@ -6,8 +6,9 @@ and error lines), integers, subset lists and the SHA-256 that a
 exactly. A number written as a float on either side is compared at a
 relative tolerance of 1e-12, with an absolute floor of 1e-13 for the
 rounding noise of a quantity that is exactly 0 (a rank-deficient Gram's
-lambda_min, the deviation of the full column set). The exact bytes are compared through their SHA-256 only
-where numpy, its BLAS build and the CPU features match the record's.
+lambda_min, the deviation of the full column set). The exact bytes are
+compared through their SHA-256 only where numpy, its BLAS build and the CPU
+features match the record's.
 
 Every replay runs at the package's default of one OpenBLAS thread:
 tests/conftest.py imports the package before numpy loads, and PROCESS_NAMES
