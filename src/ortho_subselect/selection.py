@@ -10,14 +10,16 @@ kept on the strength of a probabilistic estimate alone.
 A subset is a tuple of strictly increasing 1-based column indices.
 ``certify``, the one public function that takes one, checks it once with
 ``_subset_columns``. ``select_subset`` checks its arguments once and runs the
-cascade on 0-based column arrays through the unchecked ``_halve_step``, the
-one place that decides a draw; ``_certificate`` takes such arrays unchecked.
+unchecked ``_cascade`` on 0-based column arrays; ``_cascade`` is the one place
+that decides a draw, and reads the matrix only through an extremes function.
+``_certificate`` takes such arrays unchecked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .rng import child_seed, trial_rngs
 
 DEFAULT_MAX_RETRIES = 64
 # Floor coefficient for the analytic stop ceil(kappa * t^2/eps^2 * n * ln n);
-# 0.25 is an unfitted constant (ROADMAP item 6 measures the accepted draws'
+# 0.25 is an unfitted constant (ROADMAP item 7 measures the accepted draws'
 # kappa_eff). See select_subset.
 DEFAULT_KAPPA = 0.25
 
@@ -79,34 +81,37 @@ def cardinality_window(parent_size: int) -> tuple[float, float]:
     return half * (1.0 - 1.0 / math.sqrt(parent_size)), half
 
 
-def _halve_step(
-    a: OrthoRowMatrix, cols: np.ndarray, budget: float, seed: int, max_retries: int
-) -> tuple[np.ndarray, HalvingStep] | None:
-    """One halving of the 0-based columns ``cols`` (at least 2), unchecked.
-
-    Retry r draws from the generator seeded by child_seed(seed, r). Draws
-    whose child is outside the cardinality window count as retries, as do
-    draws whose certified deviation exceeds the budget. Returns the child
-    columns and the step, or None when no draw within ``max_retries`` passes
-    both tests.
-    """
-    p = len(cols)
-    lo, hi = cardinality_window(p)
-    for retry, rng in enumerate(trial_rngs(seed, max_retries)):
-        keep = rng.integers(0, 2, size=p).astype(bool)  # sign +1 <=> keep
-        size = int(keep.sum())
-        if size < lo or size > hi:
-            continue
-        child = cols[keep]
-        dev = _gram_extremes(a, child)[2]
-        if dev <= budget:
-            return child, HalvingStep(p, size, dev, retry, seed)
-    return None
-
-
 def _size_floor(n: int, t: float, epsilon: float, kappa: float) -> int:
     """Analytic stopping floor ceil(kappa * (t/epsilon)^2 * n * ln n)."""
     return math.ceil(kappa * (t * t) / (epsilon * epsilon) * n * math.log(n))
+
+
+def _cascade(extremes, m: int, floor: int, epsilon: float, seed: int, max_retries: int,
+             min_size: int) -> tuple[np.ndarray, tuple[HalvingStep, ...]]:
+    """The final 0-based columns and the steps of the halvings of columns
+    0..m-1 that select_subset describes, unchecked, with size floor ``floor``.
+
+    ``extremes(cols)`` gives (lambda_min, lambda_max, deviation) of the
+    nonempty 0-based columns ``cols``: all the cascade reads of the matrix.
+    Retry r of step k draws from the generator seeded by
+    child_seed(child_seed(seed, k), r), and a draw is kept only if its child
+    size lies in the cardinality window and its deviation is at most ``epsilon``.
+    """
+    cols = np.arange(m)
+    steps: list[HalvingStep] = []
+    while len(cols) > min_size and len(cols) / 2.0 >= floor:
+        p, step_seed = len(cols), child_seed(seed, len(steps))
+        lo, hi = cardinality_window(p)
+        for retry, rng in enumerate(trial_rngs(step_seed, max_retries)):
+            keep = rng.integers(0, 2, size=p).astype(bool)  # sign +1 <=> keep
+            size = int(keep.sum())
+            if lo <= size <= hi and (dev := extremes(cols[keep])[2]) <= epsilon:
+                break
+        else:
+            break
+        cols = cols[keep]
+        steps.append(HalvingStep(p, size, dev, retry, step_seed))
+    return cols, tuple(steps)
 
 
 def select_subset(
@@ -137,16 +142,10 @@ def select_subset(
         raise OrthoSubselectError(f"kappa must be finite and >= 0, got {kappa}")
     t = coherence(a).t
     floor = _size_floor(a.n, t, epsilon, kappa)
-    cols = np.arange(a.m)
-    steps: list[HalvingStep] = []
-    while len(cols) > min_size and len(cols) / 2.0 >= floor:
-        halved = _halve_step(a, cols, epsilon, child_seed(seed, len(steps)), max_retries)
-        if halved is None:
-            break
-        cols, step = halved
-        steps.append(step)
+    cols, steps = _cascade(partial(_gram_extremes, a), a.m, floor, epsilon, seed,
+                           max_retries, min_size)
     cert = _certificate(a, cols, t)
-    return cert, SelectionTrace(tuple(steps), cert.subset, epsilon)
+    return cert, SelectionTrace(steps, cert.subset, epsilon)
 
 
 def certify(a: OrthoRowMatrix, subset) -> IsometryCertificate:

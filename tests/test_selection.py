@@ -20,9 +20,10 @@ from ortho_subselect import (
     uniform_baseline,
 )
 from ortho_subselect import selection
+from ortho_subselect.linalg import _gram_extremes
 from ortho_subselect.rng import _SEED_CHUNK, trial_rngs
 from ortho_subselect.selection import (
-    _halve_step,
+    _cascade,
     _size_floor,
     certificate_to_dict,
     trace_to_dict,
@@ -37,8 +38,19 @@ def skewed_pair() -> OrthoRowMatrix:
     return OrthoRowMatrix(np.array([[math.sqrt(0.8), math.sqrt(0.2)]]))
 
 
+def _first_step(a, parent, budget, seed, max_retries):
+    """The cascade's first step from the 0-based columns ``parent`` of ``a``,
+    drawn from child_seed(seed, 0): the child columns and the step, or None
+    when every draw is rejected. The size floor 0 and min_size p // 2 stop
+    the cascade after that one step."""
+    parent = np.asarray(parent)
+    cols, steps = _cascade(lambda c: _gram_extremes(a, parent[c]), len(parent), 0.0,
+                           budget, seed, max_retries, len(parent) // 2)
+    return (parent[cols], steps[0]) if steps else None
+
+
 def test_halve_step_flat_pair():
-    child, step = _halve_step(flat_pair(), np.arange(2), 0.1, 0, 64)
+    child, step = _first_step(flat_pair(), np.arange(2), 0.1, 0, 64)
     assert len(child) == 1
     assert step.deviation_after <= 1e-12
     assert step.parent_size == 2 and step.child_size == 1
@@ -46,7 +58,7 @@ def test_halve_step_flat_pair():
 
 def test_halve_step_window_on_full_walsh():
     a = gen_walsh(4, 16)
-    child, step = _halve_step(a, np.arange(16), 1.0, 1, 64)
+    child, step = _first_step(a, np.arange(16), 1.0, 1, 64)
     lo, hi = cardinality_window(16)
     assert lo == 8 * (1 - 1 / 4) and hi == 8
     assert 6 <= len(child) <= 8
@@ -55,7 +67,7 @@ def test_halve_step_window_on_full_walsh():
 
 def test_halve_step_zero_budget_exhausts():
     a = gen_random_ortho(2, 8, seed=3)
-    assert _halve_step(a, np.arange(8), 0.0, 0, 16) is None
+    assert _first_step(a, np.arange(8), 0.0, 0, 16) is None
 
 
 @pytest.mark.parametrize(
@@ -83,7 +95,7 @@ def test_halve_step_rejects_bad_budget_and_retries(monkeypatch, kwargs):
 
 def test_halve_step_records_accepting_draw():
     a = gen_walsh(4, 16)
-    child, step = _halve_step(a, np.arange(16), 0.75, 5, 64)
+    child, step = _first_step(a, np.arange(16), 0.75, 5, 64)
     # replaying the recorded draw reproduces the child exactly
     rng = np.random.default_rng(child_seed(step.seed, step.retries_used))
     keep = rng.integers(0, 2, size=16).astype(bool)
@@ -347,8 +359,9 @@ def test_halve_step_matches_per_draw_oracle(kind, budget):
     for parent in parents:
         for seed in range(6):
             for max_retries in (4, 64):
-                want = _per_draw_halve_step(a, parent, budget, seed, max_retries)
-                got = _halve_step(a, np.asarray(parent) - 1, budget, seed, max_retries)
+                want = _per_draw_halve_step(a, parent, budget, child_seed(seed, 0),
+                                            max_retries)
+                got = _first_step(a, np.asarray(parent) - 1, budget, seed, max_retries)
                 if want is None:
                     assert got is None
                     continue
