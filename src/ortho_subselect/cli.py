@@ -123,6 +123,14 @@ def run_study(cfg: StudyConfig) -> list[StudyRow]:
     return rows
 
 
+def _median(values) -> float:
+    """The middle value, or the mean ``(lo + hi) / 2`` of the two middle
+    values: what np.median computes, without np.median's import of numpy.ma."""
+    s = sorted(values)
+    k = len(s) // 2
+    return float(s[k]) if len(s) % 2 else (s[k - 1] + s[k]) / 2
+
+
 def study_summary(cfg: StudyConfig, rows: list[StudyRow]) -> dict:
     per_n = []
     for n in cfg.n_list:
@@ -132,8 +140,8 @@ def study_summary(cfg: StudyConfig, rows: list[StudyRow]) -> dict:
             {
                 "n": n,
                 "M": cfg.m_factor * n,
-                "median_ratio": float(np.median(ratios)),
-                "median_final_size": float(np.median(finals)),
+                "median_ratio": _median(ratios),
+                "median_final_size": _median(finals),
             }
         )
     medians = [e["median_ratio"] for e in per_n]

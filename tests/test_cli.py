@@ -152,6 +152,47 @@ def test_cli_import_leaves_out_statistics_and_decimal():
     assert res.stdout == "[]\n"
 
 
+# modules that numpy itself loads (numpy 1.x imports numpy.ma eagerly) are
+# not the package's doing, so the snapshot is taken after import numpy
+STUDY_MODULES_PROBE = """
+import sys
+import numpy
+before = set(sys.modules)
+from ortho_subselect import cli
+code = cli.main(["study", "--kind", "walsh", "--n-list", "8,16", "--m-factor", "16",
+                 "--epsilon", "0.5", "--trials", "2", "--output", sys.argv[1]])
+names = ("numpy.ma", "statistics", "decimal", "fractions")
+print(code, [m for m in names if m in sys.modules and m not in before])
+"""
+
+
+def test_study_leaves_out_numpy_ma_and_statistics(tmp_path):
+    # np.median loads numpy.ma, and statistics.median decimal and fractions
+    res = subprocess.run([sys.executable, "-c", STUDY_MODULES_PROBE,
+                          str(tmp_path / "s.csv")], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 []"
+
+
+_MEDIAN_SAMPLES = st.one_of(
+    # np.median can return 0.0 where the middle value is -0.0, so zeros are +0.0
+    st.lists(st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0),
+             min_size=1, max_size=40),
+    st.lists(st.integers(0, 2**52 - 1), min_size=1, max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MEDIAN_SAMPLES)
+def test_median_is_numpy_and_statistics_median_bit_for_bit(values):
+    with np.errstate(over="ignore"):  # two values near the float max sum to inf
+        expected = float(np.median(values))
+    got = cli._median(values)
+    assert type(got) is float
+    assert got.hex() == expected.hex()
+    assert got.hex() == float(statistics.median(values)).hex()
+
+
 def test_usage_errors_exit_2(tmp_path):
     res = run_cli("gen", "--kind", "nope", "--n", "1", "--M", "2",
                   "--output", str(tmp_path / "x.txt"))

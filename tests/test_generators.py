@@ -151,6 +151,34 @@ def test_coherence_skewed_row():
     assert rep.argmax_column == 1
 
 
+@pytest.mark.parametrize("a", [
+    pytest.param(gen_trig(32, 3000), id="trig32x3000"),
+    pytest.param(gen_random_ortho(16, 2500, seed=7), id="random16x2500"),
+    pytest.param(gen_walsh(8, 4096), id="walsh8x4096"),
+])
+def test_coherence_blocks_match_the_one_shot_reduction(a):
+    # trig and random end in a partial 1024-column block; walsh has four whole
+    # ones. The reference squares the whole matrix at once.
+    norms = np.sqrt(np.sum(a.mat * a.mat, axis=0))
+    rep = coherence(a)
+    assert np.array(rep.per_column_norms).tobytes() == norms.tobytes()
+    assert rep.t == math.sqrt(a.m / a.n) * float(np.max(norms))
+    jmax = int(np.argmax(norms >= np.max(norms) * (1.0 - 1e-12)))
+    assert rep.argmax_column == jmax + 1
+
+
+def test_coherence_memory_stays_below_the_matrix():
+    # coherence holds one 1024-column block of squares, not a second matrix
+    a = gen_walsh(64, 16384)
+    tracemalloc.start()
+    try:
+        coherence(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * a.mat.nbytes
+
+
 def test_generator_shape_validation():
     with pytest.raises(ValueError):
         gen_walsh(4, 2)
