@@ -15,7 +15,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import OrthoSubselectError
-from .generators import CoherenceReport, coherence, gen_random_ortho, gen_trig, gen_walsh
+from .generators import gen_random_ortho, gen_trig, gen_walsh
 from .linalg import OrthoRowMatrix, orthonormalize_rows, read_matrix_text, write_matrix_text
 from .processes import (
     ProcessEstimate,
@@ -23,7 +23,6 @@ from .processes import (
     check_quasi_triangle,
     estimate_process,
     gaussian_sup_estimates,
-    proj_l1_l2_norm,
 )
 from .rng import child_seed
 from .selection import (

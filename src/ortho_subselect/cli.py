@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import OrthoSubselectError
-from .generators import coherence, gen_random_ortho, gen_trig, gen_walsh
+from .generators import gen_random_ortho, gen_trig, gen_walsh
 from .jsonio import dumps, format_float
 from .linalg import OrthoRowMatrix, read_matrix_text, write_matrix_text
 from .processes import (
@@ -202,16 +202,18 @@ def parse_subset_spec(spec: str) -> list[int]:
 def cmd_gen(args) -> int:
     a = _generate(args.kind, args.n, args.M, args.seed)
     write_matrix_text(args.output, a.mat)
-    report = coherence(a)
+    norms = a.column_norms
+    # lowest column within rounding of the maximum, so exact ties pick the first
+    jmax = int(np.argmax(norms >= np.max(norms) * (1.0 - 1e-12)))
     print(
         dumps(
             {
                 "kind": args.kind,
                 "n": args.n,
                 "M": args.M,
-                "t": report.t,
-                "argmax_column": report.argmax_column,
-                "per_column_norms": list(report.per_column_norms),
+                "t": a.coherence,
+                "argmax_column": jmax + 1,
+                "per_column_norms": norms.tolist(),
             }
         )
     )

@@ -1,4 +1,4 @@
-"""Instance generators and the column-coherence report.
+"""Instance generators.
 
 Three families of orthonormal-row matrices: flat +-1/sqrt(M) sign matrices
 (Sylvester order, M a power of two, built in place by Sylvester's doubling
@@ -6,27 +6,18 @@ with no memory beyond the matrix), trigonometric rows (any M), which are
 orthogonal as sampled and only normalized, and seeded Gaussian row spaces,
 orthonormalized by QR. That QR is the one BLAS result written out; at large
 shapes it rounds per BLAS thread count, so ``gen_random_ortho``'s bytes are
-those of the package's default of one OpenBLAS thread.
+those of the package's default of one OpenBLAS thread. A generated matrix's
+coherence t is its ``OrthoRowMatrix.coherence``, computed on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OrthoSubselectError
 from .linalg import OrthoRowMatrix, orthonormalize_rows
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Largest rescaled column norm t = sqrt(M/n) * max_j ||column j||."""
-
-    t: float
-    per_column_norms: tuple[float, ...]
-    argmax_column: int  # 1-based; the first within a relative 1e-12 of the max
 
 
 def _check_shape(n: int, m: int) -> None:
@@ -88,20 +79,3 @@ def gen_random_ortho(n: int, m: int, seed: int) -> OrthoRowMatrix:
     if seed < 0:  # numpy's own rejection does not name the seed
         raise OrthoSubselectError(f"seed must be >= 0, got {seed}")
     return orthonormalize_rows(np.random.default_rng(seed).standard_normal((n, m)))
-
-
-def coherence(a: OrthoRowMatrix) -> CoherenceReport:
-    """Compute the coherence t and the per-column norms it maximizes over.
-
-    The norms are reduced 1024 columns at a time, so the squares take one
-    block's memory, not the matrix's. A block of the column-major matrix is
-    contiguous, so each column sums as it does over the whole matrix.
-    """
-    norms = np.empty(a.m)
-    for j in range(0, a.m, 1024):
-        block = a.mat[:, j : j + 1024]
-        norms[j : j + 1024] = np.sqrt(np.sum(block * block, axis=0))
-    t = math.sqrt(a.m / a.n) * float(np.max(norms))
-    # lowest column within rounding of the maximum, so exact ties pick the first
-    jmax = int(np.argmax(norms >= np.max(norms) * (1.0 - 1e-12)))
-    return CoherenceReport(t, tuple(norms.tolist()), jmax + 1)

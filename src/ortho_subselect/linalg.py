@@ -20,8 +20,10 @@ whose verdict and message are the reader's.
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,27 @@ class OrthoRowMatrix:
     @property
     def m(self) -> int:
         return self.mat.shape[1]
+
+    @cached_property
+    def column_norms(self) -> np.ndarray:
+        """Read-only ||A e_j|| for every column j, reduced on first use and
+        cached, so ``mat`` must not be modified in place.
+
+        The norms are reduced 1024 columns at a time, so the squares take one
+        block's memory, not the matrix's. A block of the column-major matrix is
+        contiguous, so each column sums as it does over the whole matrix.
+        """
+        norms = np.empty(self.m)
+        for j in range(0, self.m, 1024):
+            block = self.mat[:, j : j + 1024]
+            norms[j : j + 1024] = np.sqrt(np.sum(block * block, axis=0))
+        norms.flags.writeable = False
+        return norms
+
+    @property
+    def coherence(self) -> float:
+        """Coherence t = sqrt(M/n) * max_j ||A e_j||, 1 for flat sign matrices."""
+        return math.sqrt(self.m / self.n) * float(np.max(self.column_norms))
 
 
 def orthonormalize_rows(m) -> OrthoRowMatrix:

@@ -43,18 +43,9 @@ class ProcessEstimate:
     mean: float
     std_error: float
     trials: int
-    q: float
+    q: float  # l1 -> l2 norm of the projection onto W: max_j ||P_W e_j|| = max ||A e_j||
     bound_ratio: float  # mean / (q * sqrt(ln M))
     seed: int
-
-
-def proj_l1_l2_norm(a: OrthoRowMatrix) -> float:
-    """l1 -> l2 operator norm of the orthogonal projection onto W.
-
-    Equals the largest column norm of A, because the projection of a
-    standard basis vector has norm ||A e_j|| = ||column j of A||.
-    """
-    return float(np.max(np.linalg.norm(a.mat, axis=0)))
 
 
 def _sign_sup(u: np.ndarray, s: np.ndarray) -> float:
@@ -87,7 +78,7 @@ def estimate_process(a: OrthoRowMatrix, trials: int, seed: int) -> ProcessEstima
     mean = math.fsum(values) / trials
     var = math.fsum((values - mean) ** 2) / (trials - 1)
     std_error = math.sqrt(var / trials)
-    q = proj_l1_l2_norm(a)
+    q = float(np.max(a.column_norms))
     denom = q * math.sqrt(math.log(a.m))
     ratio = mean / denom if denom > 0.0 else math.inf
     return ProcessEstimate(mean, std_error, trials, q, ratio, seed)

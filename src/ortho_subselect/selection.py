@@ -24,7 +24,6 @@ from functools import partial
 import numpy as np
 
 from .errors import OrthoSubselectError
-from .generators import coherence
 from .linalg import OrthoRowMatrix, _gram_extremes
 from .rng import child_seed, trial_rngs
 
@@ -81,12 +80,18 @@ def cardinality_window(parent_size: int) -> tuple[float, float]:
     return half * (1.0 - 1.0 / math.sqrt(parent_size)), half
 
 
-def _size_floor(n: int, t: float, epsilon: float, kappa: float) -> int:
-    """Analytic stopping floor ceil(kappa * (t/epsilon)^2 * n * ln n)."""
-    return math.ceil(kappa * (t * t) / (epsilon * epsilon) * n * math.log(n))
+def _size_floor(n: int, t: float, epsilon: float, kappa: float) -> float:
+    """Analytic stopping floor ceil(kappa * (t/epsilon)^2 * n * ln n): 0 if
+    kappa = 0 or n = 1, +inf (no halving) if epsilon^2 is 0 or it overflows."""
+    if kappa == 0.0 or n == 1:
+        return 0
+    try:
+        return math.ceil(kappa * (t * t) / (epsilon * epsilon) * n * math.log(n))
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
 
 
-def _cascade(extremes, m: int, floor: int, epsilon: float, seed: int, max_retries: int,
+def _cascade(extremes, m: int, floor: float, epsilon: float, seed: int, max_retries: int,
              min_size: int) -> tuple[np.ndarray, tuple[HalvingStep, ...]]:
     """The final 0-based columns and the steps of the halvings of columns
     0..m-1 that select_subset describes, unchecked, with size floor ``floor``.
@@ -140,18 +145,17 @@ def select_subset(
         raise OrthoSubselectError(f"max_retries must be >= 1, got {max_retries}")
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise OrthoSubselectError(f"kappa must be finite and >= 0, got {kappa}")
-    t = coherence(a).t
-    floor = _size_floor(a.n, t, epsilon, kappa)
+    floor = _size_floor(a.n, a.coherence, epsilon, kappa)
     cols, steps = _cascade(partial(_gram_extremes, a), a.m, floor, epsilon, seed,
                            max_retries, min_size)
-    cert = _certificate(a, cols, t)
+    cert = _certificate(a, cols)
     return cert, SelectionTrace(steps, cert.subset, epsilon)
 
 
 def certify(a: OrthoRowMatrix, subset) -> IsometryCertificate:
     """Exact certificate for ``subset``, any sequence of strictly increasing
     1-based column indices of ``a``: eigen extremes of (M/|I|) A_I A_I^T."""
-    return _certificate(a, _subset_columns(subset, a.m), coherence(a).t)
+    return _certificate(a, _subset_columns(subset, a.m))
 
 
 def _subset_columns(subset, m: int) -> np.ndarray:
@@ -177,9 +181,8 @@ def _subset_columns(subset, m: int) -> np.ndarray:
     return idx.astype(np.intp) - 1
 
 
-def _certificate(a: OrthoRowMatrix, cols: np.ndarray, t: float) -> IsometryCertificate:
-    """Certificate of the nonempty 0-based columns ``cols``, unchecked, given
-    the coherence t of ``a``."""
+def _certificate(a: OrthoRowMatrix, cols: np.ndarray) -> IsometryCertificate:
+    """Certificate of the nonempty 0-based columns ``cols``, unchecked."""
     lambda_min, lambda_max, eps = _gram_extremes(a, cols)
     return IsometryCertificate(
         n=a.n,
@@ -188,7 +191,7 @@ def _certificate(a: OrthoRowMatrix, cols: np.ndarray, t: float) -> IsometryCerti
         lambda_min=lambda_min,
         lambda_max=lambda_max,
         epsilon_achieved=eps,
-        coherence_t=t,
+        coherence_t=a.coherence,
         scale=a.m / len(cols),
     )
 
@@ -205,9 +208,8 @@ def uniform_baseline(
         raise OrthoSubselectError(f"size must be in 1..{a.m}, got {size}")
     if trials < 1:
         raise OrthoSubselectError(f"trials must be >= 1, got {trials}")
-    t = coherence(a).t
     return [
-        _certificate(a, np.sort(rng.choice(a.m, size=size, replace=False)), t)
+        _certificate(a, np.sort(rng.choice(a.m, size=size, replace=False)))
         for rng in trial_rngs(seed, trials)
     ]
 

@@ -47,6 +47,8 @@ WALSH = {"walsh.txt": {"generate": ["walsh", 16, 256]}}
 TRIG = {"trig.txt": {"generate": ["trig", 32, 16384]}}
 # large enough that LAPACK's eigvalsh rounds differently per BLAS thread count
 TRIG256 = {"trig.txt": {"generate": ["trig", 256, 4096]}}
+# 92.8 MB of text: two accepted halvings at n = 256, then retries exhausted
+TRIG256_WIDE = {"trig.txt": {"generate": ["trig", 256, 16384]}}
 CERTIFY = ["certify", "--input", "walsh.txt", "--epsilon", "0.5", "--subset"]
 SELECT = ["select", "--input", "walsh.txt", "--epsilon", "0.5", "--output", "cert.json"]
 STUDY = ["study", "--kind", "walsh", "--n-list", "8,16", "--m-factor", "16",
@@ -106,6 +108,24 @@ CASES: dict[str, dict] = {
         "argv": ["certify", "--input", "trig.txt", "--subset", "cert.json",
                  "--epsilon", "0.5"],
         "inputs": {**TRIG256, "cert.json": {"record": "select_trig256_seed1"}},
+    },
+    **{
+        f"select_trig256x16384_seed{seed}": {
+            "argv": ["select", "--input", "trig.txt", "--epsilon", "0.5",
+                     "--seed", str(seed), "--output", "cert.json",
+                     "--trace", "trace.json"],
+            "inputs": TRIG256_WIDE,
+        }
+        for seed in (1, 2)
+    },
+    **{
+        f"certify_trig256x16384_seed{seed}": {
+            "argv": ["certify", "--input", "trig.txt", "--subset", "cert.json",
+                     "--epsilon", "0.5"],
+            "inputs": {**TRIG256_WIDE,
+                       "cert.json": {"record": f"select_trig256x16384_seed{seed}"}},
+        }
+        for seed in (1, 2)
     },
     # the README's example: a valid certificate that misses --epsilon, exit 1
     "certify_paper_example": {

@@ -18,8 +18,10 @@ from ortho_subselect import (
     OrthoRowMatrix,
     cli,
     gaussian_sup_estimates,
+    gen_walsh,
     processes,
     read_matrix_text,
+    write_matrix_text,
 )
 from ortho_subselect.cli import (
     CSV_HEADER,
@@ -546,6 +548,27 @@ def test_numeric_flag_types_read_plain_ascii_like_int_and_float(text):
         assert _outcome(ours, text) == want
 
 
+@pytest.mark.parametrize("flag", [("--epsilon", "1e-200"), ("--kappa", "1e308")])
+def test_select_floor_beyond_the_float_range_certifies_the_full_set(
+        tmp_path, monkeypatch, capsys, flag):
+    # epsilon^2 underflows to 0, or kappa (t/epsilon)^2 n ln n overflows: the
+    # floor is +inf, so the cascade makes no halving
+    monkeypatch.chdir(tmp_path)
+    write_matrix_text("w.txt", gen_walsh(4, 16).mat)
+    # argparse keeps the last --epsilon
+    assert main(["select", "--input", "w.txt", "--epsilon", "0.5", "--output", "c.json",
+                 *flag]) == 0
+    assert capsys.readouterr() == ("|I|=16 eps=0\n", "")
+
+
+def test_study_floor_beyond_the_float_range_keeps_every_column(tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    assert main(["study", "--kind", "walsh", "--n-list", "4", "--m-factor", "4",
+                 "--epsilon", "1e-170", "--trials", "1", "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("4,16,0,16,0,0,0,")
+    assert json.loads(capsys.readouterr().out)["per_n"][0]["median_final_size"] == 16.0
+
+
 def test_select_rejects_non_orthonormal_matrix(tmp_path):
     skewed = tmp_path / "skewed.txt"
     skewed.write_text("2 3\n1 0 0\n1 1 0\n")
@@ -724,6 +747,33 @@ def test_certify_reads_the_matrix_from_a_pipe(tmp_path):
     assert from_file.stdout.startswith('{"n": 8, "M": 64')
     assert (from_pipe.returncode, from_pipe.stdout, from_pipe.stderr) == (
         from_file.returncode, from_file.stdout, from_file.stderr)
+
+
+def test_certify_reads_plain_and_crlf_tab_files_alike(tmp_path):
+    # plain files take numpy's C parser, CRLF-and-tab files the row-by-row
+    # reader: both readers must give the same matrix, and so the same bytes
+    plain, crlf_tab, cert = (tmp_path / name for name in
+                             ("trig.txt", "trig_crlf_tab.txt", "trig_cert.json"))
+    assert run_cli("gen", "--kind", "trig", "--n", "32", "--M", "4096",
+                   "--output", str(plain)).returncode == 0
+    assert run_cli("select", "--input", str(plain), "--epsilon", "0.5",
+                   "--output", str(cert)).returncode == 0
+    crlf_tab.write_bytes(plain.read_bytes().replace(b" ", b"\t").replace(b"\n", b"\r\n"))
+    outs = [run_cli("certify", "--input", str(path), "--subset", str(cert),
+                    "--epsilon", "0.5") for path in (plain, crlf_tab)]
+    assert [res.returncode for res in outs] == [0, 0]
+    assert outs[0].stdout.startswith('{"n": 32, "M": 4096')
+    assert outs[0].stdout == outs[1].stdout
+
+
+def test_select_digit_group_seed_exits_2_before_writing(tmp_path):
+    mat, out = tmp_path / "walsh.txt", tmp_path / "seed.json"
+    write_matrix_text(mat, gen_walsh(16, 256).mat)
+    res = run_cli("select", "--input", str(mat), "--epsilon", "0.5", "--seed", "1_0",
+                  "--output", str(out))
+    assert res.returncode == 2
+    assert "argument --seed: invalid int value: '1_0'" in res.stderr
+    assert not out.exists()
 
 
 def test_exit_codes_and_buffered_output_survive_the_hard_exit(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from ortho_subselect import (
     OrthoRowMatrix,
     OrthoSubselectError,
-    coherence,
+    cli,
     gen_random_ortho,
     gen_trig,
     gen_walsh,
@@ -35,7 +36,7 @@ def test_walsh_entries_flat_and_coherent():
     for n, m in ALL_SHAPES:
         a = gen_walsh(n, m)
         assert np.all(np.abs(np.abs(a.mat) - 1 / math.sqrt(m)) == 0.0)
-        assert abs(coherence(a).t - 1.0) <= 1e-12
+        assert abs(a.coherence - 1.0) <= 1e-12
 
 
 def test_walsh_rejects_non_power_of_two():
@@ -99,7 +100,7 @@ def test_trig_orthonormal():
 
 
 def test_trig_coherence_modest():
-    assert coherence(gen_trig(8, 100)).t <= 2.0
+    assert gen_trig(8, 100).coherence <= 2.0
 
 
 def test_trig_deterministic():
@@ -134,45 +135,75 @@ def test_generator_outputs_satisfy_trace_identity():
     ):
         for n, m in [(2, 4), (4, 16)]:
             a = gen(n, m)
-            norms = coherence(a).per_column_norms
+            norms = a.column_norms
             assert abs(sum(x * x for x in norms) - n) <= 1e-8
 
 
-def test_coherence_identity_rows():
+@pytest.fixture
+def gen_report(monkeypatch, tmp_path, capsys):
+    """gen's stdout report on a given matrix: ``cli.main(["gen", ...])`` with
+    the generator swapped for one that returns the matrix."""
+    def report(a: OrthoRowMatrix) -> dict:
+        monkeypatch.setattr(cli, "_generate", lambda kind, n, m, seed: a)
+        argv = ["gen", "--kind", "trig", "--n", str(a.n), "--M", str(a.m),
+                "--output", str(tmp_path / "a.txt")]
+        assert cli.main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    return report
+
+
+def test_coherence_identity_rows(gen_report):
     a = OrthoRowMatrix(np.eye(3, 12))
-    assert abs(coherence(a).t - math.sqrt(12 / 3)) <= 1e-12
-    assert coherence(a).argmax_column == 1
+    assert abs(a.coherence - math.sqrt(12 / 3)) <= 1e-12
+    assert gen_report(a)["argmax_column"] == 1
 
 
-def test_coherence_skewed_row():
+def test_coherence_skewed_row(gen_report):
     a = OrthoRowMatrix(np.array([[math.sqrt(0.8), math.sqrt(0.2)]]))
-    rep = coherence(a)
-    assert abs(rep.t - math.sqrt(2.0) * math.sqrt(0.8)) <= 1e-12
-    assert rep.argmax_column == 1
+    assert abs(a.coherence - math.sqrt(2.0) * math.sqrt(0.8)) <= 1e-12
+    assert gen_report(a)["argmax_column"] == 1
 
 
 @pytest.mark.parametrize("a", [
     pytest.param(gen_trig(32, 3000), id="trig32x3000"),
     pytest.param(gen_random_ortho(16, 2500, seed=7), id="random16x2500"),
+    pytest.param(gen_random_ortho(64, 5000, seed=3), id="random64x5000"),
     pytest.param(gen_walsh(8, 4096), id="walsh8x4096"),
+    # the matrices of verify --suite process, whose Q is max(column_norms)
+    pytest.param(OrthoRowMatrix(np.eye(1, 64)), id="eye1x64"),
+    pytest.param(gen_walsh(8, 128), id="walsh8x128"),
+    pytest.param(gen_walsh(16, 256), id="walsh16x256"),
+    pytest.param(gen_walsh(32, 512), id="walsh32x512"),
 ])
-def test_coherence_blocks_match_the_one_shot_reduction(a):
-    # trig and random end in a partial 1024-column block; walsh has four whole
-    # ones. The reference squares the whole matrix at once.
+def test_coherence_blocks_match_the_one_shot_reduction(a, gen_report):
+    # trig and random end in a partial 1024-column block; walsh 8x4096 has four
+    # whole ones. The references square the whole matrix at once.
     norms = np.sqrt(np.sum(a.mat * a.mat, axis=0))
-    rep = coherence(a)
-    assert np.array(rep.per_column_norms).tobytes() == norms.tobytes()
-    assert rep.t == math.sqrt(a.m / a.n) * float(np.max(norms))
+    assert a.column_norms.tobytes() == norms.tobytes()
+    assert a.column_norms.tobytes() == np.linalg.norm(a.mat, axis=0).tobytes()
+    assert a.coherence == math.sqrt(a.m / a.n) * float(np.max(norms))
+    report = gen_report(a)
+    assert report["t"] == a.coherence
+    assert np.array(report["per_column_norms"], dtype=float).tobytes() == norms.tobytes()
     jmax = int(np.argmax(norms >= np.max(norms) * (1.0 - 1e-12)))
-    assert rep.argmax_column == jmax + 1
+    assert report["argmax_column"] == jmax + 1
+
+
+def test_column_norms_are_cached_and_read_only():
+    a = gen_trig(4, 64)
+    assert a.column_norms is a.column_norms
+    with pytest.raises(ValueError, match="read-only"):
+        a.column_norms[0] = 2.0
 
 
 def test_coherence_memory_stays_below_the_matrix():
-    # coherence holds one 1024-column block of squares, not a second matrix
+    # the first access of column_norms holds one 1024-column block of squares,
+    # not a second matrix
     a = gen_walsh(64, 16384)
     tracemalloc.start()
     try:
-        coherence(a)
+        a.column_norms
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -189,19 +220,19 @@ def test_generator_shape_validation():
 
 
 @pytest.mark.parametrize("n, m", [(32, 16384), (7, 301)])
-def test_coherence_argmax_ignores_rounding_on_trig(n, m):
+def test_coherence_argmax_ignores_rounding_on_trig(n, m, gen_report):
     # every trig column norm is sqrt(n/M) in exact arithmetic
-    rep = coherence(gen_trig(n, m))
-    assert rep.argmax_column == 1
-    assert rep.t == math.sqrt(m / n) * max(rep.per_column_norms)
+    report = gen_report(gen_trig(n, m))
+    assert report["argmax_column"] == 1
+    assert report["t"] == math.sqrt(m / n) * max(report["per_column_norms"])
 
 
-def test_coherence_argmax_finds_a_later_maximum():
+def test_coherence_argmax_finds_a_later_maximum(gen_report):
     c, s = math.sqrt(0.3), math.sqrt(0.7)
     a = OrthoRowMatrix(np.array([[c, s, 0.0], [0.0, 0.0, 1.0]]))
-    rep = coherence(a)
-    assert rep.argmax_column == 3
-    assert rep.t == math.sqrt(3 / 2)
+    report = gen_report(a)
+    assert report["argmax_column"] == 3
+    assert report["t"] == math.sqrt(3 / 2)
     # a lead of 1e-9, far above rounding, still wins
     a = OrthoRowMatrix(np.sqrt([[0.5 - 1e-9, 0.5 + 1e-9]]))
-    assert coherence(a).argmax_column == 2
+    assert gen_report(a)["argmax_column"] == 2

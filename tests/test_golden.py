@@ -14,7 +14,9 @@ Every replay runs at the package's default of one OpenBLAS thread:
 tests/conftest.py imports the package before numpy loads, and PROCESS_NAMES
 are replayed once more, each through a CLI process of its own that starts
 with OPENBLAS_NUM_THREADS unset. The trig 256 x 4096 records are large
-enough that their bytes change under another thread count.
+enough that their bytes change under another thread count. The trig
+256 x 16384 records replay in-process only: their 92.8 MB input makes a
+CLI process of their own cost about 7 s more.
 """
 
 import math

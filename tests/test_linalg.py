@@ -311,7 +311,7 @@ def _oracle_certificate(a: OrthoRowMatrix, subset) -> IsometryCertificate:
         raise OrthoSubselectError("subset must contain at least one column index")
     lambda_min, lambda_max, eps = linalg._gram_extremes(a, i.zero_based())
     return IsometryCertificate(a.n, a.m, i.indices, lambda_min, lambda_max, eps,
-                               generators.coherence(a).t, a.m / len(i))
+                               a.coherence, a.m / len(i))
 
 
 @functools.lru_cache(maxsize=None)

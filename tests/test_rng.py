@@ -97,15 +97,16 @@ def test_public_names_are_pinned():
     public = sorted(name for name, value in vars(ortho_subselect).items()
                     if not name.startswith("_") and not inspect.ismodule(value))
     assert public == [
-        "CoherenceReport", "HalvingStep", "IsometryCertificate", "OrthoRowMatrix",
+        "HalvingStep", "IsometryCertificate", "OrthoRowMatrix",
         "OrthoSubselectError", "ProcessEstimate", "SelectionTrace",
         "cardinality_window", "certify", "check_ball_convexity",
-        "check_quasi_triangle", "child_seed", "coherence",
+        "check_quasi_triangle", "child_seed",
         "estimate_process", "gaussian_sup_estimates", "gen_random_ortho", "gen_trig",
         "gen_walsh", "orthonormalize_rows",
-        "proj_l1_l2_norm", "read_matrix_text", "select_subset",
+        "read_matrix_text", "select_subset",
         "uniform_baseline", "write_matrix_text",
     ]
+    assert len(public) == 21
 
 
 def test_readme_library_sketch_runs():

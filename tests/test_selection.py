@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ortho_subselect import (
     HalvingStep,
@@ -12,7 +14,7 @@ from ortho_subselect import (
     cardinality_window,
     certify,
     child_seed,
-    coherence,
+    estimate_process,
     gen_random_ortho,
     gen_trig,
     gen_walsh,
@@ -213,19 +215,25 @@ def test_uniform_baseline_validation_and_determinism():
     assert first == second
 
 
-def test_select_computes_coherence_once(monkeypatch):
+def test_select_and_certify_reduce_the_column_norms_once(monkeypatch):
     calls = []
+    reduce_norms = OrthoRowMatrix.column_norms.func
 
     def counted(a):
         calls.append(a)
-        return coherence(a)
+        return reduce_norms(a)
 
-    monkeypatch.setattr(selection, "coherence", counted)
+    monkeypatch.setattr(OrthoRowMatrix.column_norms, "func", counted)
     a = gen_random_ortho(4, 64, seed=6)
     cert, _ = select_subset(a, 0.5, seed=1)
-    assert len(calls) == 1
-    monkeypatch.undo()
+    assert calls == [a]
     assert cert == certify(a, cert.subset)  # coherence_t included
+    uniform_baseline(a, 8, seed=2, trials=3)
+    estimate_process(a, 2, seed=3)
+    assert calls == [a]
+    fresh = OrthoRowMatrix(a.mat)
+    assert certify(fresh, cert.subset) == cert
+    assert calls == [a, fresh]
 
 
 @pytest.mark.parametrize("trials", [1, _SEED_CHUNK + 1])
@@ -301,6 +309,29 @@ def test_select_zero_kappa_is_legal():
     assert cert.epsilon_achieved <= 0.5
 
 
+# epsilon in (0, 1), with a second draw from the range where epsilon^2
+# underflows to a subnormal or to 0
+_EPSILONS = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      st.floats(5e-324, 1e-150))
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.sampled_from([1, 2, 64]), t=st.floats(1.0, 8.0), epsilon=_EPSILONS,
+       kappa=st.one_of(st.sampled_from([0.0, 0.25, 1e308]), st.floats(0.0, 1e308)))
+def test_size_floor_never_raises_and_keeps_every_finite_floor(n, t, epsilon, kappa):
+    floor = _size_floor(n, t, epsilon, kappa)
+    try:  # the expression as it stood, with no guard
+        old = math.ceil(kappa * (t * t) / (epsilon * epsilon) * n * math.log(n))
+    except (ZeroDivisionError, OverflowError, ValueError):
+        old = None
+    if old is not None:
+        assert type(floor) is int and floor == old
+    elif kappa == 0.0 or n == 1:
+        assert floor == 0
+    else:  # epsilon^2 underflowed to 0 or the product overflowed
+        assert floor == math.inf
+
+
 def _per_draw_halve_step(a, parent, epsilon_budget, seed, max_retries=64):
     """Reference oracle: the halving step as it was before its draws became
     index arrays, with a tuple of 1-based indices and a public certificate
@@ -324,7 +355,7 @@ def _per_draw_halve_step(a, parent, epsilon_budget, seed, max_retries=64):
 def _per_draw_cascade(a, epsilon, seed, max_retries, min_size, kappa):
     """Reference cascade: select_subset's stops around _per_draw_halve_step.
     Returns the certificate, the trace and the stop that ended it."""
-    floor = _size_floor(a.n, coherence(a).t, epsilon, kappa)
+    floor = _size_floor(a.n, a.coherence, epsilon, kappa)
     current, steps = tuple(range(1, a.m + 1)), []
     while True:
         if len(current) <= min_size:
