@@ -233,7 +233,7 @@ def cmd_select(args) -> int:
     Path(args.output).write_text(
         dumps(certificate_to_dict(cert)) + "\n", encoding="ascii"
     )
-    if args.trace:
+    if args.trace is not None:
         Path(args.trace).write_text(
             dumps(trace_to_dict(trace)) + "\n", encoding="ascii"
         )

@@ -6,7 +6,9 @@ of those exact bytes and the numpy/BLAS build that produced them. A case
 marked ``digest_files`` keeps each written file's SHA-256 in place of its
 text, for files too large to keep.
 ``tests/test_golden.py`` replays every record in-process, and a few through a
-CLI process of their own, and compares.
+CLI process of their own, and compares. Apart from direct calls of
+``cli.main``, its two runners, ``run_main`` and ``run_cli_process``, are the
+only ways the test suite runs the CLI.
 
 Rewrite the records with
 
@@ -28,6 +30,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 # ahead of numpy, so that the package's OPENBLAS_NUM_THREADS default holds
 import ortho_subselect
@@ -53,6 +56,9 @@ CERTIFY = ["certify", "--input", "walsh.txt", "--epsilon", "0.5", "--subset"]
 SELECT = ["select", "--input", "walsh.txt", "--epsilon", "0.5", "--output", "cert.json"]
 STUDY = ["study", "--kind", "walsh", "--n-list", "8,16", "--m-factor", "16",
          "--epsilon", "0.5", "--trials", "2", "--output", "study.csv"]
+# argparse wraps its usage text at $COLUMNS, else at the terminal's width;
+# both runners pin the 80 columns that a pipe gets
+USAGE_WIDTH = {"COLUMNS": "80"}
 
 
 def _defect(text: str) -> dict:
@@ -171,6 +177,8 @@ CASES: dict[str, dict] = {
     "select_min_size_0": {"argv": SELECT + ["--min-size", "0"], "inputs": WALSH},
     "select_max_retries_0": {"argv": SELECT + ["--max-retries", "0"], "inputs": WALSH},
     "select_kappa_negative": {"argv": SELECT + ["--kappa", "-1"], "inputs": WALSH},
+    # a usage error: argparse exits 2 before any file is written
+    "select_seed_digit_group": {"argv": SELECT + ["--seed", "1_0"], "inputs": WALSH},
     "select_epsilon_1": {
         "argv": ["select", "--input", "walsh.txt", "--epsilon", "1", "--output", "cert.json"],
         "inputs": WALSH,
@@ -244,17 +252,40 @@ def write_inputs(inputs: dict, workdir: Path, cache: Path) -> None:
             shutil.copyfile(cached, workdir / name)
 
 
-def run_cli_process(argv: list[str], workdir: Path) -> tuple[int, str, str]:
+def run_main(argv: list[str], workdir: Path) -> tuple[int, str, str]:
+    """Run ``cli.main(argv)`` in this process with ``workdir`` as the working
+    directory; a usage error's ``SystemExit`` gives its code, as a process
+    would."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, USAGE_WIDTH):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli_process(argv: list[str], workdir: Path, env: dict | None = None,
+                    stdin: str | None = None) -> tuple[int, str, str]:
     """Run ``python -m ortho_subselect`` in a fresh interpreter, with this
-    package first on its path and OPENBLAS_NUM_THREADS left to the package's
-    default."""
-    env = dict(os.environ)
-    env.pop("OPENBLAS_NUM_THREADS", None)
+    package first on its path, OPENBLAS_NUM_THREADS left to the package's
+    default unless ``env`` sets it, and stdout block-buffered as in any pipe,
+    so that the exit path must flush it; ``stdin`` is the text piped in."""
+    child = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
+    child.update(USAGE_WIDTH, **(env or {}))
     src = str(Path(ortho_subselect.__file__).resolve().parents[1])
-    path = [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src]
-    env["PYTHONPATH"] = os.pathsep.join(path)
+    path = [src, child["PYTHONPATH"]] if child.get("PYTHONPATH") else [src]
+    child["PYTHONPATH"] = os.pathsep.join(path)
     proc = subprocess.run([sys.executable, "-m", "ortho_subselect", *argv], cwd=workdir,
-                          env=env, capture_output=True, encoding="utf-8", timeout=600)
+                          env=child, input=stdin, capture_output=True, encoding="utf-8",
+                          timeout=600)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -263,18 +294,8 @@ def run_case(case: dict, workdir: Path, cache: Path, process: bool = False) -> d
     through a CLI process of its own; returns its outputs."""
     inputs = case.get("inputs", {})
     write_inputs(inputs, workdir, cache)
-    if process:
-        code, stdout, stderr = run_cli_process(case["argv"], workdir)
-    else:
-        out, err = io.StringIO(), io.StringIO()
-        cwd = os.getcwd()
-        os.chdir(workdir)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(case["argv"])
-        finally:
-            os.chdir(cwd)
-        stdout, stderr = out.getvalue(), err.getvalue()
+    run = run_cli_process if process else run_main
+    code, stdout, stderr = run(case["argv"], workdir)
     files = {
         p.name: p.read_text(encoding="ascii")
         for p in sorted(workdir.iterdir())

@@ -9,12 +9,11 @@ import itertools
 import json
 import math
 import statistics
-import subprocess
-import sys
 import time
 
 import numpy as np
 
+from golden.record import run_cli_process
 from ortho_subselect import (
     OrthoRowMatrix,
     certify,
@@ -27,11 +26,10 @@ from ortho_subselect import (
     gen_trig,
     gen_walsh,
     select_subset,
+    write_matrix_text,
 )
 from ortho_subselect.cli import StudyConfig, run_study
 from ortho_subselect.processes import check_sandwich
-
-CMD = [sys.executable, "-m", "ortho_subselect"]
 
 
 class Criterion:
@@ -254,40 +252,43 @@ def test_criterion_09_eigensolver_oracle():
             assert abs(cert.lambda_max - hi) <= 1e-8
 
 
-def _run_cli(*args, cwd=None):
-    res = subprocess.run(CMD + list(args), capture_output=True, text=True,
-                         cwd=cwd)
-    return res.returncode, res.stdout
-
-
 def test_criterion_10_cli_determinism(tmp_path):
     with Criterion(10, "repeated CLI runs are byte-identical", 60):
         mat = tmp_path / "m.txt"
+        walsh = tmp_path / "w.txt"
+        write_matrix_text(walsh, gen_walsh(8, 64).mat)
+
+        def run(*args):
+            code, out, _ = run_cli_process(list(args), tmp_path)
+            assert code == 0
+            return out
 
         def once(tag):
             blob = {}
-            code, out = _run_cli("gen", "--kind", "random", "--n", "8", "--M",
-                                 "64", "--seed", "3", "--output", str(mat))
-            assert code == 0
+            out = run("gen", "--kind", "random", "--n", "8", "--M", "64",
+                      "--seed", "3", "--output", str(mat))
             blob["gen"] = (out, mat.read_bytes())
             cert = tmp_path / f"c{tag}.json"
             trace = tmp_path / f"t{tag}.json"
-            code, out = _run_cli("select", "--input", str(mat), "--epsilon",
-                                 "0.6", "--seed", "4", "--output", str(cert),
-                                 "--trace", str(trace))
-            assert code == 0
+            out = run("select", "--input", str(mat), "--epsilon", "0.6", "--seed", "4",
+                      "--output", str(cert), "--trace", str(trace))
             blob["select"] = (out, cert.read_bytes(), trace.read_bytes())
+            cert = tmp_path / f"w{tag}.json"
+            out = run("select", "--input", str(walsh), "--epsilon", "0.6", "--seed", "11",
+                      "--output", str(cert))
+            blob["select_walsh"] = (out, cert.read_bytes())
             csv = tmp_path / f"s{tag}.csv"
-            code, out = _run_cli("study", "--kind", "walsh", "--n-list",
-                                 "8,16", "--m-factor", "8", "--epsilon",
-                                 "0.5", "--trials", "4", "--seed", "5",
-                                 "--output", str(csv))
-            assert code == 0
+            out = run("study", "--kind", "walsh", "--n-list", "8,16", "--m-factor", "8",
+                      "--epsilon", "0.5", "--trials", "4", "--seed", "5",
+                      "--output", str(csv))
             blob["study"] = (out, csv.read_bytes())
-            code, out = _run_cli("verify", "--suite", "quasimetric",
-                                 "--trials", "20000", "--seed", "6")
-            assert code == 0
-            blob["verify"] = out
+            csv = tmp_path / f"s{tag}_3.csv"
+            out = run("study", "--kind", "walsh", "--n-list", "8,16", "--m-factor", "8",
+                      "--epsilon", "0.5", "--trials", "3", "--seed", "5",
+                      "--output", str(csv))
+            blob["study_3_trials"] = (out, csv.read_bytes())
+            blob["verify"] = run("verify", "--suite", "quasimetric", "--trials", "20000",
+                                 "--seed", "6")
             return blob
 
         first = once("a")

@@ -1,5 +1,4 @@
 import argparse
-import filecmp
 import io
 import json
 import math
@@ -14,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden.record import run_cli_process, run_main
 from ortho_subselect import (
     OrthoRowMatrix,
     cli,
     gaussian_sup_estimates,
+    gen_trig,
     gen_walsh,
     processes,
     read_matrix_text,
@@ -34,58 +35,54 @@ from ortho_subselect.cli import (
 )
 from ortho_subselect.rng import trial_rngs
 
-CMD = [sys.executable, "-m", "ortho_subselect"]
 
-
-def run_cli(*args, cwd=None):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True, cwd=cwd)
+@pytest.fixture
+def walsh16(tmp_path):
+    """``w.txt``: the Walsh 4 x 16 matrix, the bytes ``gen --kind walsh`` writes."""
+    mat = tmp_path / "w.txt"
+    write_matrix_text(mat, gen_walsh(4, 16).mat)
+    return mat
 
 
 def test_gen_walsh_writes_matrix_and_report(tmp_path):
     out = tmp_path / "w.txt"
-    res = run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "8",
-                  "--output", str(out))
-    assert res.returncode == 0
-    report = json.loads(res.stdout)
+    code, stdout, _ = run_main(["gen", "--kind", "walsh", "--n", "4", "--M", "8",
+                                "--output", str(out)], tmp_path)
+    assert code == 0
+    report = json.loads(stdout)
     assert report["t"] == 1.0
     mat = read_matrix_text(out)
     assert np.all(np.abs(np.abs(mat) - 1 / math.sqrt(8)) == 0.0)
 
 
 def test_gen_rejects_bad_walsh_size(tmp_path):
-    res = run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "12",
-                  "--output", str(tmp_path / "w.txt"))
-    assert res.returncode == 1
-    assert "power of 2" in res.stderr
+    code, _, err = run_main(["gen", "--kind", "walsh", "--n", "4", "--M", "12",
+                             "--output", str(tmp_path / "w.txt")], tmp_path)
+    assert code == 1
+    assert "power of 2" in err
 
 
 def test_gen_random_is_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    r1 = run_cli("gen", "--kind", "random", "--n", "4", "--M", "64",
-                 "--seed", "7", "--output", str(a))
-    r2 = run_cli("gen", "--kind", "random", "--n", "4", "--M", "64",
-                 "--seed", "7", "--output", str(b))
-    assert r1.returncode == r2.returncode == 0
+    r1, r2 = (run_main(["gen", "--kind", "random", "--n", "4", "--M", "64",
+                        "--seed", "7", "--output", str(out)], tmp_path) for out in (a, b))
+    assert r1[0] == r2[0] == 0
     assert a.read_bytes() == b.read_bytes()
-    assert r1.stdout == r2.stdout
+    assert r1[1] == r2[1]
 
 
 def test_gen_trig_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the trig rows are only normalized; a BLAS QR would round per thread count
-    env = dict(os.environ)
+    # the trig rows are only normalized; a BLAS QR would round per thread
+    # count, which OpenBLAS reads once per process, when numpy loads
+    def run_gen_trig(out, threads):
+        code, stdout, err = run_cli_process(
+            ["gen", "--kind", "trig", "--n", "32", "--M", "16384", "--output", out],
+            tmp_path, env={"OPENBLAS_NUM_THREADS": threads})
+        assert code == 0, err
+        return stdout
 
-    def run_gen_trig(out, env):
-        res = subprocess.run(CMD + ["gen", "--kind", "trig", "--n", "32", "--M", "16384",
-                                    "--output", str(out)],
-                             env=env, capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        return res.stdout
-
-    one, two = tmp_path / "one.txt", tmp_path / "two.txt"
-    one_stdout = run_gen_trig(one, {**env, "OPENBLAS_NUM_THREADS": "1"})
-    two_stdout = run_gen_trig(two, {**env, "OPENBLAS_NUM_THREADS": "2"})
-    assert filecmp.cmp(one, two, shallow=False)
-    assert one_stdout == two_stdout
+    assert run_gen_trig("one.txt", "1") == run_gen_trig("two.txt", "2")
+    assert (tmp_path / "one.txt").read_bytes() == (tmp_path / "two.txt").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
@@ -109,10 +106,10 @@ def test_a_shape_too_large_to_allocate_is_an_error_line(monkeypatch, capsys, tmp
 
 @pytest.mark.parametrize("kind, code", [("random", 1), ("walsh", 0), ("trig", 0)])
 def test_gen_negative_seed_is_rejected_only_where_it_is_used(tmp_path, kind, code):
-    res = run_cli("gen", "--kind", kind, "--n", "2", "--M", "4", "--seed", "-1",
-                  "--output", str(tmp_path / "m.txt"))
-    assert res.returncode == code
-    assert res.stderr == ("error: seed must be >= 0, got -1\n" if code else "")
+    got, _, err = run_main(["gen", "--kind", kind, "--n", "2", "--M", "4", "--seed", "-1",
+                            "--output", "m.txt"], tmp_path)
+    assert got == code
+    assert err == ("error: seed must be >= 0, got -1\n" if code else "")
 
 
 # records the BLAS thread setting at the moment numpy is first looked up
@@ -196,30 +193,27 @@ def test_median_is_numpy_and_statistics_median_bit_for_bit(values):
 
 
 def test_usage_errors_exit_2(tmp_path):
-    res = run_cli("gen", "--kind", "nope", "--n", "1", "--M", "2",
-                  "--output", str(tmp_path / "x.txt"))
-    assert res.returncode == 2
-    res = run_cli("frobnicate")
-    assert res.returncode == 2
+    assert run_main(["gen", "--kind", "nope", "--n", "1", "--M", "2",
+                     "--output", "x.txt"], tmp_path)[0] == 2
+    assert run_main(["frobnicate"], tmp_path)[0] == 2
 
 
 @pytest.mark.parametrize("same", [("--output", "--trace"), ("--input", "--output"),
                                   ("--input", "--trace")],
                          ids=["output-trace", "input-output", "input-trace"])
-def test_select_rejects_two_flags_naming_one_file(tmp_path, same):
+def test_select_rejects_two_flags_naming_one_file(tmp_path, walsh16, same):
     # a shared path would lose the certificate to the trace, or the input
     # matrix to either; the second flag spells the path differently
-    mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16", "--output", str(mat))
-    before = mat.read_bytes()
-    paths = {"--input": mat, "--output": tmp_path / "c.json", "--trace": tmp_path / "t.json"}
+    before = walsh16.read_bytes()
+    paths = {"--input": walsh16, "--output": tmp_path / "c.json", "--trace": tmp_path / "t.json"}
     shared = paths[same[0]]
     paths[same[1]] = f"{shared.parent}/./{shared.name}"
-    res = run_cli("select", "--epsilon", "0.5",
-                  *[arg for item in paths.items() for arg in map(str, item)])
-    assert res.returncode == 2
-    assert f"argument {same[1]}: same file as {same[0]}" in res.stderr
-    assert mat.read_bytes() == before
+    code, _, err = run_main(["select", "--epsilon", "0.5",
+                             *[arg for item in paths.items() for arg in map(str, item)]],
+                            tmp_path)
+    assert code == 2
+    assert f"argument {same[1]}: same file as {same[0]}" in err
+    assert walsh16.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["w.txt"]
 
 
@@ -228,31 +222,44 @@ def test_select_input_in_a_symlink_loop_is_an_error_line(tmp_path):
     # and reading the input reports it
     (tmp_path / "a").symlink_to(tmp_path / "b")
     (tmp_path / "b").symlink_to(tmp_path / "a")
-    res = run_cli("select", "--input", str(tmp_path / "a"), "--epsilon", "0.5",
-                  "--output", str(tmp_path / "c.json"))
-    assert res.returncode == 1
-    assert res.stderr.startswith("error: ") and "symbolic links" in res.stderr
+    code, _, err = run_main(["select", "--input", str(tmp_path / "a"), "--epsilon", "0.5",
+                             "--output", str(tmp_path / "c.json")], tmp_path)
+    assert code == 1
+    assert err.startswith("error: ") and "symbolic links" in err
+
+
+@pytest.mark.parametrize("flag, path, message", [
+    ("--output", "", "[Errno 21] Is a directory: '.'"),
+    ("--trace", "", "[Errno 21] Is a directory: '.'"),
+    ("--trace", "nodir/t.json", "[Errno 2] No such file or directory: 'nodir/t.json'"),
+], ids=["empty-output", "empty-trace", "trace-in-missing-directory"])
+def test_select_unwritable_output_or_trace_is_an_error_line(tmp_path, walsh16, flag, path,
+                                                            message):
+    # Path("") is Path("."), the working directory: an empty path fails like
+    # any other path that cannot be written, and is never skipped
+    paths = {"--output": "c.json", flag: path}
+    argv = ["select", "--input", "w.txt", "--epsilon", "0.5", *sum(paths.items(), ())]
+    assert run_main(argv, tmp_path) == (1, "", f"error: {message}\n")
 
 
 def test_select_certify_round_trip(tmp_path):
     mat = tmp_path / "w.txt"
     cert_path = tmp_path / "cert.json"
     trace_path = tmp_path / "trace.json"
-    run_cli("gen", "--kind", "walsh", "--n", "16", "--M", "256",
-            "--output", str(mat))
-    res = run_cli("select", "--input", str(mat), "--epsilon", "0.5",
-                  "--seed", "42", "--output", str(cert_path),
-                  "--trace", str(trace_path))
-    assert res.returncode == 0
-    assert res.stdout.startswith("|I|=")
+    write_matrix_text(mat, gen_walsh(16, 256).mat)
+    code, out, _ = run_main(["select", "--input", str(mat), "--epsilon", "0.5",
+                             "--seed", "42", "--output", str(cert_path),
+                             "--trace", str(trace_path)], tmp_path)
+    assert code == 0
+    assert out.startswith("|I|=")
     cert = json.loads(cert_path.read_text())
     assert cert["epsilon_achieved"] <= 0.5
     assert len(cert["subset"]) < 256
 
-    recheck = run_cli("certify", "--input", str(mat),
-                      "--subset", str(cert_path), "--epsilon", "0.5")
-    assert recheck.returncode == 0
-    recert = json.loads(recheck.stdout)
+    code, out, _ = run_main(["certify", "--input", str(mat),
+                             "--subset", str(cert_path), "--epsilon", "0.5"], tmp_path)
+    assert code == 0
+    recert = json.loads(out)
     assert recert["lambda_min"] == cert["lambda_min"]
     assert recert["lambda_max"] == cert["lambda_max"]
     assert recert["subset"] == cert["subset"]
@@ -263,15 +270,11 @@ def test_select_certify_round_trip(tmp_path):
 
 
 def test_select_loose_budget_and_min_size(tmp_path):
-    mat = tmp_path / "t.txt"
-    run_cli("gen", "--kind", "trig", "--n", "3", "--M", "11",
-            "--output", str(mat))
-    res = run_cli("select", "--input", str(mat), "--epsilon", "0.999",
-                  "--output", str(tmp_path / "c1.json"))
-    assert res.returncode == 0
-    res = run_cli("select", "--input", str(mat), "--epsilon", "0.5",
-                  "--min-size", "11", "--output", str(tmp_path / "c2.json"))
-    assert res.returncode == 0
+    write_matrix_text(tmp_path / "t.txt", gen_trig(3, 11).mat)
+    assert run_main(["select", "--input", "t.txt", "--epsilon", "0.999",
+                     "--output", "c1.json"], tmp_path)[0] == 0
+    assert run_main(["select", "--input", "t.txt", "--epsilon", "0.5",
+                     "--min-size", "11", "--output", "c2.json"], tmp_path)[0] == 0
     cert = json.loads((tmp_path / "c2.json").read_text())
     assert cert["epsilon_achieved"] <= 1e-10
     assert len(cert["subset"]) == 11
@@ -282,126 +285,106 @@ def test_certify_inline_subset_failure_path(tmp_path):
     a = math.sqrt(0.8)
     b = math.sqrt(0.2)
     mat.write_text(f"1 2\n{a:.17g} {b:.17g}\n")
-    res = run_cli("certify", "--input", str(mat), "--subset", "1",
-                  "--epsilon", "0.5")
-    assert res.returncode == 1  # achieved 0.6 > 0.5
-    cert = json.loads(res.stdout)
+
+    def run_certify(subset, epsilon):
+        return run_main(["certify", "--input", str(mat), "--subset", subset,
+                         "--epsilon", epsilon], tmp_path)
+
+    code, out, _ = run_certify("1", "0.5")
+    assert code == 1  # achieved 0.6 > 0.5
+    cert = json.loads(out)
     assert abs(cert["epsilon_achieved"] - 0.6) <= 1e-12
-    res = run_cli("certify", "--input", str(mat), "--subset", "1,2",
-                  "--epsilon", "1e-9")
-    assert res.returncode == 0
-    res = run_cli("certify", "--input", str(mat), "--subset", "3",
-                  "--epsilon", "0.5")
-    assert res.returncode == 1
-    assert "error" in res.stderr
+    assert run_certify("1,2", "1e-9")[0] == 0
+    code, _, err = run_certify("3", "0.5")
+    assert code == 1
+    assert "error" in err
     dup = tmp_path / "dup.json"
     dup.write_text("[5, 3, 3]")
     for spec in ("5,3,3", str(dup)):
-        res = run_cli("certify", "--input", str(mat), "--subset", spec,
-                      "--epsilon", "0.5")
-        assert res.returncode == 1
-        assert res.stderr.startswith("error: duplicate index 3"), res.stderr
+        code, _, err = run_certify(spec, "0.5")
+        assert code == 1
+        assert err.startswith("error: duplicate index 3"), err
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "-1", "inf", "-inf"])
-def test_certify_rejects_non_finite_or_negative_epsilon(tmp_path, epsilon):
-    mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
-            "--output", str(mat))
+def test_certify_rejects_non_finite_or_negative_epsilon(tmp_path, walsh16, epsilon):
     # the subset does not parse, so only a check made before it is read passes
-    res = run_cli("certify", "--input", str(mat), "--subset", "x",
-                  f"--epsilon={epsilon}")
-    assert res.returncode == 1
-    assert res.stdout == ""
-    assert res.stderr.startswith("error: epsilon must be finite and >= 0")
-    assert "Traceback" not in res.stderr
+    code, out, err = run_main(["certify", "--input", str(walsh16), "--subset", "x",
+                               f"--epsilon={epsilon}"], tmp_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: epsilon must be finite and >= 0")
+    assert "Traceback" not in err
 
 
-def test_certify_empty_subset_is_not_the_current_directory(tmp_path):
-    mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
-            "--output", str(mat))
+def test_certify_empty_subset_is_not_the_current_directory(tmp_path, walsh16):
     # Path("") is Path("."), which exists; only "." itself names the directory
-    res = run_cli("certify", "--input", str(mat), "--subset", "",
-                  "--epsilon", "0.5")
-    assert res.returncode == 1
-    assert res.stdout == ""
-    assert res.stderr == "error: empty subset specification\n"
-    res = run_cli("certify", "--input", str(mat), "--subset", ".",
-                  "--epsilon", "0.5")
-    assert res.returncode == 1
-    assert "Is a directory: '.'" in res.stderr
+    argv = ["certify", "--input", "w.txt", "--epsilon", "0.5", "--subset"]
+    assert run_main(argv + [""], tmp_path) == (1, "", "error: empty subset specification\n")
+    code, _, err = run_main(argv + ["."], tmp_path)
+    assert code == 1
+    assert "Is a directory: '.'" in err
 
 
 def test_certify_long_inline_subset_matches_json_file(tmp_path):
     # 300 indices are over 1,000 bytes, longer than any file name may be
     mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "16", "--M", "1024",
-            "--output", str(mat))
+    write_matrix_text(mat, gen_walsh(16, 1024).mat)
     subset = list(range(1, 601, 2))
     listed = tmp_path / "subset.json"
     listed.write_text(json.dumps(subset))
     inline = ",".join(map(str, subset))
     assert len(inline) > 255
-    got, want = (run_cli("certify", "--input", str(mat), "--subset", spec,
-                         "--epsilon", "0.5") for spec in (inline, str(listed)))
-    assert got.stderr == want.stderr == ""
-    assert (got.returncode, got.stdout) == (want.returncode, want.stdout)
-    assert json.loads(got.stdout)["subset"] == subset
+    got, want = (run_main(["certify", "--input", str(mat), "--subset", spec,
+                           "--epsilon", "0.5"], tmp_path) for spec in (inline, str(listed)))
+    assert got[2] == want[2] == ""
+    assert got == want
+    assert json.loads(got[1])["subset"] == subset
 
 
-def test_certify_accepts_zero_epsilon(tmp_path):
-    mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
-            "--output", str(mat))
+def test_certify_accepts_zero_epsilon(tmp_path, walsh16):
     full = ",".join(str(j) for j in range(1, 17))
-    res = run_cli("certify", "--input", str(mat), "--subset", full,
-                  "--epsilon", "0")
-    assert res.returncode == 0
-    assert json.loads(res.stdout)["epsilon_achieved"] <= 1e-12
+    code, out, _ = run_main(["certify", "--input", str(walsh16), "--subset", full,
+                             "--epsilon", "0"], tmp_path)
+    assert code == 0
+    assert json.loads(out)["epsilon_achieved"] <= 1e-12
 
 
 @pytest.mark.parametrize(
     "subset", [[1.5, 2.9, 3, 4, 5, 6, 7, 8], [True, 2, 3, 4, 5, 6, 7, 8]]
 )
-def test_certify_rejects_non_integer_json_subset(tmp_path, subset):
+def test_certify_rejects_non_integer_json_subset(tmp_path, walsh16, subset):
     # truncated to 1..8 these would certify: rows of H8, deviation 0
-    mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
-            "--output", str(mat))
     spec = tmp_path / "cert.json"
     spec.write_text(json.dumps({"subset": subset}))
-    res = run_cli("certify", "--input", str(mat), "--subset", str(spec),
-                  "--epsilon", "0.5")
-    assert res.returncode == 1
-    assert res.stdout == ""
-    assert "subset must be a list of integers" in res.stderr
+    code, out, err = run_main(["certify", "--input", str(walsh16), "--subset", str(spec),
+                               "--epsilon", "0.5"], tmp_path)
+    assert code == 1
+    assert out == ""
+    assert "subset must be a list of integers" in err
 
 
 @pytest.mark.parametrize(
     "flag", [("--max-retries", "0"), ("--max-retries", "-3"), ("--kappa", "-1"),
              ("--kappa", "inf"), ("--kappa", "nan")]
 )
-def test_select_rejects_bad_retries_and_kappa(tmp_path, flag):
-    mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
-            "--output", str(mat))
-    res = run_cli("select", "--input", str(mat), "--epsilon", "0.5",
-                  *flag, "--output", str(tmp_path / "c.json"))
-    assert res.returncode == 1
-    assert res.stderr.startswith("error: ")
-    assert flag[0][2:].replace("-", "_") in res.stderr
-    assert "Traceback" not in res.stderr
+def test_select_rejects_bad_retries_and_kappa(tmp_path, walsh16, flag):
+    code, _, err = run_main(["select", "--input", str(walsh16), "--epsilon", "0.5",
+                             *flag, "--output", str(tmp_path / "c.json")], tmp_path)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert flag[0][2:].replace("-", "_") in err
+    assert "Traceback" not in err
     assert not (tmp_path / "c.json").exists()
 
 
 def test_study_rejects_nan_kappa(tmp_path):
-    res = run_cli("study", "--kind", "walsh", "--n-list", "8", "--m-factor",
-                  "16", "--epsilon", "0.5", "--trials", "1", "--kappa", "nan",
-                  "--output", str(tmp_path / "s.csv"))
-    assert res.returncode == 1
-    assert res.stderr.startswith("error: kappa")
-    assert "Traceback" not in res.stderr
+    code, _, err = run_main(["study", "--kind", "walsh", "--n-list", "8", "--m-factor",
+                             "16", "--epsilon", "0.5", "--trials", "1", "--kappa", "nan",
+                             "--output", str(tmp_path / "s.csv")], tmp_path)
+    assert code == 1
+    assert err.startswith("error: kappa")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -410,26 +393,22 @@ def test_study_rejects_nan_kappa(tmp_path):
      ("w.txt", b"1 1\n1\xc3\xa9\n")],
     ids=["truncated-json", "non-ascii-json", "non-ascii-matrix"],
 )
-def test_certify_names_an_unreadable_file(tmp_path, name, data):
-    mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
-            "--output", str(mat))
+def test_certify_names_an_unreadable_file(tmp_path, walsh16, name, data):
     bad = tmp_path / name  # w.txt overwrites the matrix itself
     bad.write_bytes(data)
-    res = run_cli("certify", "--input", str(mat), "--subset", str(tmp_path / "cert.json"),
-                  "--epsilon", "0.5")
-    assert res.returncode == 1
-    assert res.stdout == ""
-    assert res.stderr.startswith(f"error: {bad}: ")
-    assert "Traceback" not in res.stderr
+    code, out, err = run_main(["certify", "--input", str(walsh16), "--subset",
+                               str(tmp_path / "cert.json"), "--epsilon", "0.5"], tmp_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {bad}: ")
+    assert "Traceback" not in err
 
 
 def test_certify_rejects_malformed_matrix(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n1 0\n")
-    res = run_cli("certify", "--input", str(bad), "--subset", "1",
-                  "--epsilon", "0.5")
-    assert res.returncode == 1
+    assert run_main(["certify", "--input", str(bad), "--subset", "1",
+                     "--epsilon", "0.5"], tmp_path)[0] == 1
 
 
 def test_certify_rejects_underscore_digit_groups(tmp_path):
@@ -437,51 +416,45 @@ def test_certify_rejects_underscore_digit_groups(tmp_path):
     # make this a valid 1x2 orthonormal row
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n0.7071067811865476 0.707_1067811865476\n")
-    res = run_cli("certify", "--input", str(bad), "--subset", "1,2",
-                  "--epsilon", "0.5")
-    assert res.returncode == 1
-    assert res.stdout == ""
-    assert "'_' is not allowed" in res.stderr
+    code, out, err = run_main(["certify", "--input", str(bad), "--subset", "1,2",
+                               "--epsilon", "0.5"], tmp_path)
+    assert code == 1
+    assert out == ""
+    assert "'_' is not allowed" in err
 
 
 @pytest.mark.parametrize("subset", ["1_0", "1,1_0", "\u0661,\u0662,\u0663"])
-def test_certify_rejects_underscore_digit_groups_in_inline_subset(tmp_path, subset):
+def test_certify_rejects_underscore_digit_groups_in_inline_subset(tmp_path, walsh16, subset):
     # int() reads 1_0 as 10, a valid column of this 4x16 matrix, and the
     # Arabic-Indic digits 1,2,3 as 1, 2 and 3
-    mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
-            "--output", str(mat))
-    res = run_cli("certify", "--input", str(mat), "--subset", subset,
-                  "--epsilon", "5")
-    assert res.returncode == 1
-    assert res.stdout == ""
-    assert res.stderr.startswith("error: cannot parse subset")
+    code, out, err = run_main(["certify", "--input", str(walsh16), "--subset", subset,
+                               "--epsilon", "5"], tmp_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot parse subset")
 
 
 def test_study_rejects_underscore_digit_groups_in_n_list(tmp_path):
-    res = run_cli("study", "--kind", "walsh", "--n-list", "8,1_6", "--m-factor",
-                  "16", "--epsilon", "0.5", "--trials", "1",
-                  "--output", str(tmp_path / "s.csv"))
-    assert res.returncode == 2
-    assert "not an integer list: '8,1_6'" in res.stderr
+    code, _, err = run_main(["study", "--kind", "walsh", "--n-list", "8,1_6", "--m-factor",
+                             "16", "--epsilon", "0.5", "--trials", "1",
+                             "--output", str(tmp_path / "s.csv")], tmp_path)
+    assert code == 2
+    assert "not an integer list: '8,1_6'" in err
     assert not (tmp_path / "s.csv").exists()
 
 
-def test_certify_deeply_nested_subset_file_is_an_error_line(tmp_path):
+def test_certify_deeply_nested_subset_file_is_an_error_line(tmp_path, walsh16):
     # json recurses once per bracket, so 200,000 of them pass Python's
     # recursion limit
-    mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16",
-            "--output", str(mat))
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000, encoding="ascii")
-    res = run_cli("certify", "--input", str(mat), "--subset", str(deep),
-                  "--epsilon", "0.5")
-    assert res.returncode == 1
-    assert res.stdout == ""
-    assert res.stderr.startswith(f"error: {deep}: ")
-    assert res.stderr.count("\n") == 1
-    assert "Traceback" not in res.stderr
+    code, out, err = run_main(["certify", "--input", str(walsh16), "--subset", str(deep),
+                               "--epsilon", "0.5"], tmp_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {deep}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_every_numeric_flag_rejects_what_the_file_formats_reject():
@@ -572,25 +545,25 @@ def test_study_floor_beyond_the_float_range_keeps_every_column(tmp_path, capsys)
 def test_select_rejects_non_orthonormal_matrix(tmp_path):
     skewed = tmp_path / "skewed.txt"
     skewed.write_text("2 3\n1 0 0\n1 1 0\n")
-    res = run_cli("select", "--input", str(skewed), "--epsilon", "0.5",
-                  "--output", str(tmp_path / "c.json"))
-    assert res.returncode == 1
-    assert "orthonormal" in res.stderr
+    code, _, err = run_main(["select", "--input", str(skewed), "--epsilon", "0.5",
+                             "--output", str(tmp_path / "c.json")], tmp_path)
+    assert code == 1
+    assert "orthonormal" in err
 
 
 def test_study_csv_shape(tmp_path):
     csv_path = tmp_path / "study.csv"
-    res = run_cli("study", "--kind", "walsh", "--n-list", "8", "--m-factor",
-                  "16", "--epsilon", "0.5", "--trials", "1", "--seed", "0",
-                  "--output", str(csv_path))
-    assert res.returncode == 0
+    code, out, _ = run_main(["study", "--kind", "walsh", "--n-list", "8", "--m-factor",
+                             "16", "--epsilon", "0.5", "--trials", "1", "--seed", "0",
+                             "--output", str(csv_path)], tmp_path)
+    assert code == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "n,M,trial,final_size,epsilon_achieved,steps,total_retries,ratio"
     assert len(lines) == 2
     fields = lines[1].split(",")
     assert fields[0] == "8" and fields[1] == "128" and fields[2] == "0"
     assert float(fields[7]) > 0.0
-    summary = json.loads(res.stdout)
+    summary = json.loads(out)
     assert summary["per_n"][0]["n"] == 8
     assert summary["median_ratio_spread"] >= 1.0
 
@@ -619,21 +592,22 @@ def test_study_api_matches_cli(tmp_path):
 
 
 def test_verify_suites_pass(tmp_path):
-    res = run_cli("verify", "--suite", "quasimetric", "--trials", "5000",
-                  "--seed", "1")
-    assert res.returncode == 0
-    lines = [json.loads(ln) for ln in res.stdout.splitlines()]
+    code, out, _ = run_main(["verify", "--suite", "quasimetric", "--trials", "5000",
+                             "--seed", "1"], tmp_path)
+    assert code == 0
+    lines = [json.loads(ln) for ln in out.splitlines()]
     assert all(ln["pass"] for ln in lines)
     assert any(ln["check"].startswith("quasi_triangle") for ln in lines)
 
-    res = run_cli("verify", "--suite", "process", "--trials", "20", "--seed", "1")
-    assert res.returncode == 0
-    lines = [json.loads(ln) for ln in res.stdout.splitlines()]
+    code, out, _ = run_main(["verify", "--suite", "process", "--trials", "20", "--seed", "1"],
+                            tmp_path)
+    assert code == 0
+    lines = [json.loads(ln) for ln in out.splitlines()]
     fixture = [ln for ln in lines if ln["check"] == "process_fixture_span_e1"][0]
     assert fixture["mean"] == 1.0
 
-    res = run_cli("verify", "--suite", "sudakov", "--trials", "2000", "--seed", "1")
-    assert res.returncode == 0
+    assert run_main(["verify", "--suite", "sudakov", "--trials", "2000", "--seed", "1"],
+                    tmp_path)[0] == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -692,61 +666,35 @@ def test_sudakov_suite_catches_planted_defects(monkeypatch, capsys, defect, seed
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
-def test_verify_rejects_non_positive_trials(trials):
-    res = run_cli("verify", "--suite", "sudakov", "--trials", trials)
-    assert res.returncode == 2
-    assert "not a positive integer" in res.stderr
-    assert "Traceback" not in res.stderr
+def test_verify_rejects_non_positive_trials(tmp_path, trials):
+    code, _, err = run_main(["verify", "--suite", "sudakov", "--trials", trials], tmp_path)
+    assert code == 2
+    assert "not a positive integer" in err
+    assert "Traceback" not in err
 
 
-def test_verify_one_trial_is_a_usage_error_only_for_the_process_suite():
+def test_verify_one_trial_is_a_usage_error_only_for_the_process_suite(tmp_path):
     for suite in ("process", "all"):
-        res = run_cli("verify", "--suite", suite, "--trials", "1")
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert "the process suite needs at least 2" in res.stderr
+        code, out, err = run_main(["verify", "--suite", suite, "--trials", "1"], tmp_path)
+        assert code == 2
+        assert out == ""
+        assert "the process suite needs at least 2" in err
     for suite in ("sudakov", "quasimetric"):
-        res = run_cli("verify", "--suite", suite, "--trials", "1")
-        assert res.returncode == 0
-        assert all(json.loads(ln)["samples"] == 1 for ln in res.stdout.splitlines())
-
-
-def test_cli_outputs_are_byte_identical(tmp_path):
-    mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "8", "--M", "64",
-            "--output", str(mat))
-    outs = []
-    for tag in ("one", "two"):
-        cert = tmp_path / f"{tag}.json"
-        res = run_cli("select", "--input", str(mat), "--epsilon", "0.6",
-                      "--seed", "11", "--output", str(cert))
-        outs.append((res.stdout, cert.read_bytes()))
-    assert outs[0] == outs[1]
-
-
-def test_study_deterministic_across_runs(tmp_path):
-    blobs = []
-    for run in range(3):
-        csv_path = tmp_path / f"study_{run}.csv"
-        res = run_cli("study", "--kind", "walsh", "--n-list", "8,16",
-                      "--m-factor", "8", "--epsilon", "0.5", "--trials", "3",
-                      "--seed", "5", "--output", str(csv_path))
-        assert res.returncode == 0
-        blobs.append((res.stdout, csv_path.read_bytes()))
-    assert blobs[0] == blobs[1] == blobs[2]
+        code, out, _ = run_main(["verify", "--suite", suite, "--trials", "1"], tmp_path)
+        assert code == 0
+        assert all(json.loads(ln)["samples"] == 1 for ln in out.splitlines())
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 def test_certify_reads_the_matrix_from_a_pipe(tmp_path):
     mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "8", "--M", "64", "--output", str(mat))
+    write_matrix_text(mat, gen_walsh(8, 64).mat)
     args = ["certify", "--subset", ",".join(map(str, range(1, 33))), "--epsilon", "0.5"]
-    from_file = run_cli(*args, "--input", str(mat))
-    from_pipe = subprocess.run(CMD + args + ["--input", "/dev/stdin"],
-                               input=mat.read_text(), capture_output=True, text=True)
-    assert from_file.stdout.startswith('{"n": 8, "M": 64')
-    assert (from_pipe.returncode, from_pipe.stdout, from_pipe.stderr) == (
-        from_file.returncode, from_file.stdout, from_file.stderr)
+    from_file = run_main(args + ["--input", str(mat)], tmp_path)
+    from_pipe = run_cli_process(args + ["--input", "/dev/stdin"], tmp_path,
+                                stdin=mat.read_text())
+    assert from_file[1].startswith('{"n": 8, "M": 64')
+    assert from_pipe == from_file
 
 
 def test_certify_reads_plain_and_crlf_tab_files_alike(tmp_path):
@@ -754,51 +702,32 @@ def test_certify_reads_plain_and_crlf_tab_files_alike(tmp_path):
     # reader: both readers must give the same matrix, and so the same bytes
     plain, crlf_tab, cert = (tmp_path / name for name in
                              ("trig.txt", "trig_crlf_tab.txt", "trig_cert.json"))
-    assert run_cli("gen", "--kind", "trig", "--n", "32", "--M", "4096",
-                   "--output", str(plain)).returncode == 0
-    assert run_cli("select", "--input", str(plain), "--epsilon", "0.5",
-                   "--output", str(cert)).returncode == 0
+    write_matrix_text(plain, gen_trig(32, 4096).mat)
+    assert run_main(["select", "--input", str(plain), "--epsilon", "0.5",
+                     "--output", str(cert)], tmp_path)[0] == 0
     crlf_tab.write_bytes(plain.read_bytes().replace(b" ", b"\t").replace(b"\n", b"\r\n"))
-    outs = [run_cli("certify", "--input", str(path), "--subset", str(cert),
-                    "--epsilon", "0.5") for path in (plain, crlf_tab)]
-    assert [res.returncode for res in outs] == [0, 0]
-    assert outs[0].stdout.startswith('{"n": 32, "M": 4096')
-    assert outs[0].stdout == outs[1].stdout
+    outs = [run_cli_process(["certify", "--input", str(path), "--subset", str(cert),
+                             "--epsilon", "0.5"], tmp_path) for path in (plain, crlf_tab)]
+    assert [code for code, _, _ in outs] == [0, 0]
+    assert outs[0][1].startswith('{"n": 32, "M": 4096')
+    assert outs[0][1] == outs[1][1]
 
 
-def test_select_digit_group_seed_exits_2_before_writing(tmp_path):
-    mat, out = tmp_path / "walsh.txt", tmp_path / "seed.json"
-    write_matrix_text(mat, gen_walsh(16, 256).mat)
-    res = run_cli("select", "--input", str(mat), "--epsilon", "0.5", "--seed", "1_0",
-                  "--output", str(out))
-    assert res.returncode == 2
-    assert "argument --seed: invalid int value: '1_0'" in res.stderr
-    assert not out.exists()
-
-
-def test_exit_codes_and_buffered_output_survive_the_hard_exit(tmp_path):
-    # unbuffered, every print reaches the file before main returns; buffered,
-    # run() must flush before os._exit drops the buffer
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    out = tmp_path / "verify.out"
-    with open(out, "w") as fh:
-        res = subprocess.run(CMD + ["verify", "--suite", "all", "--seed", "0"],
-                             stdout=fh, stderr=subprocess.PIPE, text=True, env=env)
-    assert (res.returncode, res.stderr) == (0, "")
-    lines = out.read_text().splitlines()
+def test_exit_codes_and_buffered_output_survive_the_hard_exit(tmp_path, walsh16):
+    # the child's stdout is a pipe, so it is block-buffered: run() must flush
+    # before os._exit drops the buffer
+    code, out, err = run_cli_process(["verify", "--suite", "all", "--seed", "0"], tmp_path)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
     assert len(lines) == 16 and json.loads(lines[-1])["check"] == "quasi_ball_convexity"
 
-    mat = tmp_path / "w.txt"
-    run_cli("gen", "--kind", "walsh", "--n", "4", "--M", "16", "--output", str(mat))
-    miss = subprocess.run(CMD + ["certify", "--input", str(mat), "--subset", "1,2,3",
-                                 "--epsilon", "0.1"],
-                          capture_output=True, text=True, env=env)
-    assert miss.returncode == 1
-    assert json.loads(miss.stdout)["epsilon_achieved"] > 0.1
-    usage = subprocess.run(CMD + ["certify", "--input", str(mat)],
-                           capture_output=True, text=True, env=env)
-    assert usage.returncode == 2
-    assert "the following arguments are required: --subset" in usage.stderr
+    code, out, _ = run_cli_process(["certify", "--input", "w.txt", "--subset", "1,2,3",
+                                    "--epsilon", "0.1"], tmp_path)
+    assert code == 1
+    assert json.loads(out)["epsilon_achieved"] > 0.1
+    code, _, err = run_cli_process(["certify", "--input", "w.txt"], tmp_path)
+    assert code == 2
+    assert "the following arguments are required: --subset" in err
 
 
 def test_run_falls_back_to_a_normal_exit_when_a_flush_fails(monkeypatch):

@@ -1,22 +1,25 @@
 """Replay the golden CLI records in tests/golden/ (written by record.py there).
 
-Exit codes, the text around every number (so JSON key order, check names
-and error lines), integers, subset lists and the SHA-256 that a
-``digest_files`` record keeps in place of a file's text are compared
-exactly. A number written as a float on either side is compared at a
-relative tolerance of 1e-12, with an absolute floor of 1e-13 for the
+Exit codes, the text around every number (so JSON key order, check names,
+error lines and argparse's usage text), integers, subset lists and the
+SHA-256 that a ``digest_files`` record keeps in place of a file's text are
+compared exactly. A number written as a float on either side is compared at
+a relative tolerance of 1e-12, with an absolute floor of 1e-13 for the
 rounding noise of a quantity that is exactly 0 (a rank-deficient Gram's
 lambda_min, the deviation of the full column set). The exact bytes are
 compared through their SHA-256 only where numpy, its BLAS build and the CPU
 features match the record's.
 
-Every replay runs at the package's default of one OpenBLAS thread:
-tests/conftest.py imports the package before numpy loads, and PROCESS_NAMES
-are replayed once more, each through a CLI process of its own that starts
-with OPENBLAS_NUM_THREADS unset. The trig 256 x 4096 records are large
-enough that their bytes change under another thread count. The trig
-256 x 16384 records replay in-process only: their 92.8 MB input makes a
-CLI process of their own cost about 7 s more.
+Every record replays in-process through ``record.run_main``, at the
+package's default of one OpenBLAS thread: tests/conftest.py imports the
+package before numpy loads. PROCESS_NAMES replay once more, each through
+``record.run_cli_process``: a ``python -m ortho_subselect`` process of its
+own, which shares ``cli.run()`` and its exit path with the console script
+and starts with OPENBLAS_NUM_THREADS unset. They cover every exit code (0,
+1 and 2), each command but gen, and the trig 256 x 4096 records, whose bytes
+change under another thread count. The trig 256 x 16384 records replay
+in-process only: their 92.8 MB input makes a CLI process of their own cost
+about 7 s more.
 """
 
 import math
@@ -34,8 +37,9 @@ from golden.record import (
 )
 
 NAMES = record_names()
-PROCESS_NAMES = ["verify_all_seed0", "study_walsh_n128", "select_trig_seed1",
-                 "certify_trig_seed1", "select_trig256_seed1", "certify_trig256_seed1"]
+PROCESS_NAMES = ["verify_all_seed0", "verify_all_seed904337711", "study_walsh_n128",
+                 "select_trig_seed1", "certify_trig_seed1", "select_trig256_seed1",
+                 "certify_trig256_seed1", "certify_paper_example", "select_seed_digit_group"]
 OUTPUT_KEYS = ("exit_code", "stdout", "stderr", "files")
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 REL_TOL = 1e-12
