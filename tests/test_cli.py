@@ -685,6 +685,35 @@ def test_verify_one_trial_is_a_usage_error_only_for_the_process_suite(tmp_path):
         assert all(json.loads(ln)["samples"] == 1 for ln in out.splitlines())
 
 
+def test_cli_outputs_are_byte_identical(tmp_path):
+    """Repeated ``select`` calls in one process carry no state between them;
+    criterion 10 checks the same run across processes."""
+    mat = tmp_path / "w.txt"
+    write_matrix_text(mat, gen_walsh(8, 64).mat)
+    outs = []
+    for tag in ("one", "two"):
+        cert = tmp_path / f"{tag}.json"
+        code, out, _ = run_main(["select", "--input", str(mat), "--epsilon", "0.6",
+                                 "--seed", "11", "--output", str(cert)], tmp_path)
+        assert code == 0
+        outs.append((out, cert.read_bytes()))
+    assert outs[0] == outs[1]
+
+
+def test_study_deterministic_across_runs(tmp_path):
+    """Repeated ``study`` calls in one process give the same bytes;
+    criterion 10 checks the same run across processes."""
+    blobs = []
+    for run in range(3):
+        csv_path = tmp_path / f"study_{run}.csv"
+        code, out, _ = run_main(["study", "--kind", "walsh", "--n-list", "8,16",
+                                 "--m-factor", "8", "--epsilon", "0.5", "--trials", "3",
+                                 "--seed", "5", "--output", str(csv_path)], tmp_path)
+        assert code == 0
+        blobs.append((out, csv_path.read_bytes()))
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 def test_certify_reads_the_matrix_from_a_pipe(tmp_path):
     mat = tmp_path / "w.txt"
