@@ -56,9 +56,10 @@ CERTIFY = ["certify", "--input", "walsh.txt", "--epsilon", "0.5", "--subset"]
 SELECT = ["select", "--input", "walsh.txt", "--epsilon", "0.5", "--output", "cert.json"]
 STUDY = ["study", "--kind", "walsh", "--n-list", "8,16", "--m-factor", "16",
          "--epsilon", "0.5", "--trials", "2", "--output", "study.csv"]
-# argparse wraps its usage text at $COLUMNS, else at the terminal's width;
-# both runners pin the 80 columns that a pipe gets
-USAGE_WIDTH = {"COLUMNS": "80"}
+# argparse wraps its usage text at $COLUMNS, else at the terminal's width,
+# and where it breaks a line differs between Python versions; both runners
+# set a width at which the usage text stays on one line
+USAGE_WIDTH = {"COLUMNS": "1000"}
 
 
 def _defect(text: str) -> dict:
