@@ -11,6 +11,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -230,13 +231,32 @@ def cmd_select(args) -> int:
         min_size=args.min_size,
         kappa=args.kappa,
     )
-    Path(args.output).write_text(
-        dumps(certificate_to_dict(cert)) + "\n", encoding="ascii"
-    )
+    texts = {args.output: dumps(certificate_to_dict(cert)) + "\n"}
     if args.trace is not None:
-        Path(args.trace).write_text(
-            dumps(trace_to_dict(trace)) + "\n", encoding="ascii"
-        )
+        texts[args.trace] = dumps(trace_to_dict(trace)) + "\n"
+    # all or none: each text goes to a temporary file beside its target (a
+    # symlink's target, where open() would write), and the targets are
+    # replaced only once every write has succeeded; an error names the path
+    # as given
+    staged = []
+    try:
+        for k, (path, text) in enumerate(texts.items()):
+            target = os.path.realpath(path)
+            tmp = os.path.join(os.path.dirname(target), f".select-{os.getpid()}-{k}.tmp")
+            try:
+                if os.path.isdir(target):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                with open(tmp, "x", encoding="ascii") as f:
+                    staged.append((tmp, target))
+                    f.write(text)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(Path(path))) from None
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     print(f"|I|={len(cert.subset)} eps={format_float(cert.epsilon_achieved)}")
     return 0 if cert.epsilon_achieved <= args.epsilon else 1
 

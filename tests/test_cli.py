@@ -236,10 +236,14 @@ def test_select_input_in_a_symlink_loop_is_an_error_line(tmp_path):
 def test_select_unwritable_output_or_trace_is_an_error_line(tmp_path, walsh16, flag, path,
                                                             message):
     # Path("") is Path("."), the working directory: an empty path fails like
-    # any other path that cannot be written, and is never skipped
+    # any other path that cannot be written, and is never skipped. select
+    # writes all of its outputs or none, so c.json keeps the bytes it had
+    (tmp_path / "c.json").write_text("old\n")
     paths = {"--output": "c.json", flag: path}
     argv = ["select", "--input", "w.txt", "--epsilon", "0.5", *sum(paths.items(), ())]
     assert run_main(argv, tmp_path) == (1, "", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "w.txt"]
+    assert (tmp_path / "c.json").read_text() == "old\n"
 
 
 def test_select_certify_round_trip(tmp_path):
