@@ -89,6 +89,8 @@ CASES: dict[str, dict] = {
                  "--m-factor", "16", "--epsilon", "0.5", "--trials", "5",
                  "--seed", "11", "--output", "study.csv"],
     },
+    # every draw these runs decide has a deviation at least 1.7e-3 from
+    # epsilon, so last-bit differences between BLAS builds cannot flip one
     **{
         f"select_trig_seed{seed}": {
             "argv": ["select", "--input", "trig.txt", "--epsilon", "0.5",
@@ -105,6 +107,12 @@ CASES: dict[str, dict] = {
             "inputs": {**TRIG, "cert.json": {"record": f"select_trig_seed{seed}"}},
         }
         for seed in (1, 2, 3, 4)
+    },
+    # the trace's final_subset as the subset: the stdout of certify_trig_seed1
+    "certify_trig_seed1_trace": {
+        "argv": ["certify", "--input", "trig.txt", "--subset", "trace.json",
+                 "--epsilon", "0.5"],
+        "inputs": {**TRIG, "trace.json": {"record": "select_trig_seed1"}},
     },
     "select_trig256_seed1": {
         "argv": ["select", "--input", "trig.txt", "--epsilon", "0.5", "--seed", "1",

@@ -6,7 +6,6 @@ run time.
 """
 
 import itertools
-import json
 import math
 import statistics
 import time

@@ -14,9 +14,9 @@ from ortho_subselect import (
     errors,
     estimate_process,
     gaussian_sup_estimates,
+    gen_random_ortho,
     gen_trig,
     gen_walsh,
-    select_subset,
     uniform_baseline,
 )
 from ortho_subselect.cli import StudyConfig, _generate
@@ -31,8 +31,8 @@ def _study(**kwargs):
 
 E1 = OrthoRowMatrix(np.eye(1, 4))
 
-# the argument checks that raised a plain ValueError before the package had
-# one error type, each with the message it has always had
+# the library's argument checks, each with its exact message; select_subset's
+# are in tests/test_selection.py, whose test also shows that no draw is made
 ARGUMENT_CHECKS = {
     "study_n_list": (lambda: _study(n_list=(16, 8)),
                      "n_list must be nonempty and strictly ascending"),
@@ -44,20 +44,28 @@ ARGUMENT_CHECKS = {
     "generator_kind": (lambda: _generate("nope", 4, 8, 0),
                        "unknown generator kind 'nope'"),
     "generator_shape": (lambda: gen_trig(5, 4), "need 1 <= n <= M, got n=5, M=4"),
+    "walsh_shape": (lambda: gen_walsh(4, 2), "need 1 <= n <= M, got n=4, M=2"),
+    "walsh_power_of_two": (lambda: gen_walsh(4, 12), "M must be a power of 2, got 12"),
+    "random_shape": (lambda: gen_random_ortho(0, 4, seed=0),
+                     "need 1 <= n <= M, got n=0, M=4"),
     "process_trials": (lambda: estimate_process(E1, trials=1, seed=0),
                        "need at least 2 trials, got 1"),
     "gaussian_trials": (lambda: gaussian_sup_estimates(E1, [0.0] * 4, 0, seed=0),
                         "need at least 1 trial, got 0"),
+    "gaussian_weights_shape": (lambda: gaussian_sup_estimates(E1, [1.0] * 3, 10, seed=0),
+                               "need 4 weights, got shape (3,)"),
+    "gaussian_weights_finite": (lambda: gaussian_sup_estimates(E1, [np.nan] * 4, 10, seed=0),
+                                "weights must be finite"),
     "sandwich_samples": (lambda: check_sandwich(-1, 2, seed=0),
                          "need samples >= 0 and dim >= 1"),
+    "triangle_samples": (lambda: check_quasi_triangle(0, 2, seed=0),
+                         "need samples >= 1 and dim >= 1"),
+    "triangle_negative_samples": (lambda: check_quasi_triangle(-1, 2, seed=0),
+                                  "need samples >= 1 and dim >= 1"),
     "triangle_dim": (lambda: check_quasi_triangle(1, 0, seed=0),
                      "need samples >= 1 and dim >= 1"),
     "convexity_samples": (lambda: check_ball_convexity(0, 2, seed=0),
                           "need samples >= 1 and dim >= 1"),
-    "select_retries": (lambda: select_subset(gen_walsh(2, 4), 0.5, seed=0, max_retries=0),
-                       "max_retries must be >= 1, got 0"),
-    "select_kappa": (lambda: select_subset(gen_walsh(2, 4), 0.5, seed=0, kappa=-1.0),
-                     "kappa must be finite and >= 0, got -1.0"),
     "baseline_trials": (lambda: uniform_baseline(gen_walsh(2, 4), 2, seed=0, trials=0),
                         "trials must be >= 1, got 0"),
 }

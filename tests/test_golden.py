@@ -1,5 +1,10 @@
 """Replay the golden CLI records in tests/golden/ (written by record.py there).
 
+The records are the one home of the CLI's behaviour: its exit codes, its
+error and usage lines, and the bytes it prints and writes. tests/test_cli.py
+keeps only what a record cannot pin: monkeypatches, hypothesis properties,
+import probes, the files left behind, and the process itself.
+
 Exit codes, the text around every number (so JSON key order, check names,
 error lines and argparse's usage text), integers, subset lists and the
 SHA-256 that a ``digest_files`` record keeps in place of a file's text are
@@ -15,11 +20,14 @@ package's default of one OpenBLAS thread: tests/conftest.py imports the
 package before numpy loads. PROCESS_NAMES replay once more, each through
 ``record.run_cli_process``: a ``python -m ortho_subselect`` process of its
 own, which shares ``cli.run()`` and its exit path with the console script
-and starts with OPENBLAS_NUM_THREADS unset. They cover every exit code (0,
-1 and 2), each command but gen, and the trig 256 x 4096 records, whose bytes
-change under another thread count. The trig 256 x 16384 records replay
-in-process only: their 92.8 MB input makes a CLI process of their own cost
-about 7 s more.
+and starts with OPENBLAS_NUM_THREADS unset. Its stdout is a pipe, so
+block-buffered: ``verify_all_seed0`` (exit 0, 16 lines) and
+``certify_paper_example`` (exit 1) show that the output is flushed before
+the hard exit, and ``select_seed_digit_group`` that a usage error exits 2.
+They cover each command but gen, and the trig 256 x 4096 records, whose
+bytes change under another thread count. The trig 256 x 16384 records
+replay in-process only: their 92.8 MB input makes a CLI process of their
+own cost about 7 s more.
 """
 
 import math
@@ -107,6 +115,12 @@ def skip_unless_recorded_build(record: dict) -> None:
     if env != record["env"]:
         diff = {k: (env.get(k), v) for k, v in record["env"].items() if env.get(k) != v}
         pytest.skip(f"build differs from the record's (now, recorded): {diff}")
+
+
+def test_a_trace_certifies_as_its_certificate():
+    # certify --subset reads a trace's final_subset
+    want = load_record("certify_trig_seed1")["stdout"]
+    assert load_record("certify_trig_seed1_trace")["stdout"] == want
 
 
 @pytest.mark.parametrize("name", NAMES)

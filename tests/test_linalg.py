@@ -222,7 +222,7 @@ def test_gram_errors():
         certify(a, (1, 2, 3))
 
 
-def test_subset_index_requires_flat_integers(tmp_path):
+def test_certify_checks_its_subset_indices(tmp_path):
     a = gen_trig(2, 4)
     flat = "indices must be flat integers, got "
     with pytest.raises(OrthoSubselectError, match=flat + "float64"):

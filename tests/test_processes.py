@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -118,18 +117,6 @@ def _ball_convexity_loop(samples, dim, rho, seed):
             worst = max(worst, _quasi_d(lam @ hull, center) / rho)
         done += take
     return worst
-
-
-def test_basis_validation():
-    # The harnesses take the OrthoRowMatrix spanning W, which refuses a
-    # non-orthonormal frame and the transposed (M x n column) layout.
-    not_orthonormal = re.escape("rows not orthonormal: max |A A^T - I| = 4.000e+00")
-    with pytest.raises(OrthoSubselectError, match=not_orthonormal):
-        OrthoRowMatrix(np.ones((2, 4)))
-    with pytest.raises(OrthoSubselectError, match="need n <= M, got 4x2"):
-        OrthoRowMatrix(np.ones((4, 2)))
-    with pytest.raises(OrthoSubselectError, match="need n <= M, got 4x2"):
-        OrthoRowMatrix(np.eye(4, 2))
 
 
 def _q(a: OrthoRowMatrix) -> float:
@@ -320,14 +307,6 @@ def test_gaussian_sup_matches_per_trial_loop_on_dense_bases():
             assert abs(got[1] - want[1]) <= 1e-12
 
 
-def test_gaussian_sup_rejects_bad_weights():
-    a = OrthoRowMatrix(np.eye(1, 8))
-    with pytest.raises(OrthoSubselectError, match=r"need 8 weights, got shape \(7,\)"):
-        gaussian_sup_estimates(a, [1.0] * 7, 10, seed=0)
-    with pytest.raises(OrthoSubselectError, match="weights must be finite"):
-        gaussian_sup_estimates(a, [math.nan] * 8, 10, seed=0)
-
-
 def test_quasimetric_basics():
     # _d_batch is the one d that the triangle, ball and sandwich checks share
     x = np.array([[1.0, 2.0], [1.0, 0.0]])
@@ -412,9 +391,6 @@ def test_quasi_triangle_matches_whole_array_loop(dim):
         for seed in (0, 11):
             want = _worst_triangle_loop(samples, dim, seed)
             assert check_quasi_triangle(samples, dim, seed) == want
-    for samples, d in ((0, dim), (1, 0), (-1, dim)):
-        with pytest.raises(ValueError, match="samples >= 1 and dim >= 1"):
-            check_quasi_triangle(samples, d, seed=0)
 
 
 @pytest.mark.parametrize("samples, dim", [(99, 2), (13_000, 32), (250, WIDE_DIM)])
@@ -613,8 +589,3 @@ def test_ball_convexity_reports_sampler_failure(monkeypatch):
         check_ball_convexity(24, 4, seed=0)
     assert str(err.value) == message(seen[0])
     assert str(err.value) != message(first)
-
-
-def test_estimate_process_needs_two_trials():
-    with pytest.raises(ValueError):
-        estimate_process(OrthoRowMatrix(np.eye(1, 4)), trials=1, seed=0)

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -51,14 +50,14 @@ def _first_step(a, parent, budget, seed, max_retries):
     return (parent[cols], steps[0]) if steps else None
 
 
-def test_halve_step_flat_pair():
+def test_cascade_step_flat_pair():
     child, step = _first_step(flat_pair(), np.arange(2), 0.1, 0, 64)
     assert len(child) == 1
     assert step.deviation_after <= 1e-12
     assert step.parent_size == 2 and step.child_size == 1
 
 
-def test_halve_step_window_on_full_walsh():
+def test_cascade_step_window_on_full_walsh():
     a = gen_walsh(4, 16)
     child, step = _first_step(a, np.arange(16), 1.0, 1, 64)
     lo, hi = cardinality_window(16)
@@ -67,35 +66,12 @@ def test_halve_step_window_on_full_walsh():
     assert step.retries_used >= 0
 
 
-def test_halve_step_zero_budget_exhausts():
+def test_cascade_step_zero_budget_exhausts():
     a = gen_random_ortho(2, 8, seed=3)
     assert _first_step(a, np.arange(8), 0.0, 0, 16) is None
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"epsilon": math.nan}, {"epsilon": math.inf},
-     {"epsilon": -0.5}, {"max_retries": 0}, {"max_retries": -3}],
-    ids=["nan", "inf", "negative", "zero-retries", "negative-retries"],
-)
-def test_halve_step_rejects_bad_budget_and_retries(monkeypatch, kwargs):
-    # the halving kernel is unchecked: select_subset rejects its budget and
-    # retry count before the first draw
-    draws = []
-
-    def counted(*args):
-        draws.append(args)
-        return trial_rngs(*args)
-
-    monkeypatch.setattr(selection, "trial_rngs", counted)
-    (_, value), = kwargs.items()
-    args = {"epsilon": 0.5, **kwargs}
-    with pytest.raises(OrthoSubselectError, match=f"must be .*, got {value}"):
-        select_subset(gen_walsh(4, 16), seed=0, **args)
-    assert draws == []
-
-
-def test_halve_step_records_accepting_draw():
+def test_cascade_step_records_accepting_draw():
     a = gen_walsh(4, 16)
     child, step = _first_step(a, np.arange(16), 0.75, 5, 64)
     # replaying the recorded draw reproduces the child exactly
@@ -120,14 +96,33 @@ def test_select_min_size_full_keeps_everything():
     assert cert.epsilon_achieved <= 1e-10
 
 
-def test_select_rejects_bad_epsilon():
-    a = gen_walsh(2, 4)
-    for eps in (0.0, 1.0, -0.5, 1.5):
-        message = re.escape(f"epsilon must be in (0, 1), got {eps}")
-        with pytest.raises(OrthoSubselectError, match=message):
-            select_subset(a, eps, seed=0)
-    with pytest.raises(OrthoSubselectError, match="min_size must be >= 1, got 0"):
-        select_subset(a, 0.5, seed=0, min_size=0)
+# values that break each of select_subset's argument rules
+BAD_SELECT_ARGUMENTS = [
+    *({"epsilon": eps} for eps in (0.0, 1.0, -0.5, 1.5, math.nan, math.inf)),
+    {"min_size": 0}, {"max_retries": 0}, {"max_retries": -3},
+    *({"kappa": kappa} for kappa in (-1.0, math.inf, math.nan)),
+]
+SELECT_RULES = {"epsilon": "must be in (0, 1)", "min_size": "must be >= 1",
+                "max_retries": "must be >= 1", "kappa": "must be finite and >= 0"}
+
+
+@pytest.mark.parametrize("kwargs", BAD_SELECT_ARGUMENTS,
+                         ids=lambda kw: "{}={}".format(*next(iter(kw.items()))))
+def test_select_subset_rejects_bad_arguments_before_any_draw(monkeypatch, kwargs):
+    # the cascade is unchecked: select_subset rejects its arguments before
+    # the first draw
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return trial_rngs(*args)
+
+    monkeypatch.setattr(selection, "trial_rngs", counted)
+    (name, value), = kwargs.items()
+    with pytest.raises(OrthoSubselectError) as err:
+        select_subset(gen_walsh(4, 16), **{"epsilon": 0.5, "seed": 0, **kwargs})
+    assert str(err.value) == f"{name} {SELECT_RULES[name]}, got {value}"
+    assert draws == []
 
 
 def test_select_certificates_are_sound_and_replayable():
@@ -293,17 +288,6 @@ def test_certificate_json_field_order():
         ]
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"max_retries": 0}, {"max_retries": -3}, {"kappa": -1.0},
-     {"kappa": math.inf}, {"kappa": math.nan}],
-)
-def test_select_rejects_bad_retries_and_kappa(kwargs):
-    (name, value), = kwargs.items()
-    with pytest.raises(ValueError, match=f"{name} must be .*, got {value}"):
-        select_subset(gen_walsh(4, 16), 0.5, seed=0, **kwargs)
-
-
 def test_select_zero_kappa_is_legal():
     cert, _ = select_subset(gen_walsh(4, 16), 0.5, seed=0, kappa=0.0)
     assert cert.epsilon_achieved <= 0.5
@@ -384,7 +368,7 @@ ORACLE_INSTANCES = {
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_INSTANCES))
 @pytest.mark.parametrize("budget", [0.0, 0.3, 0.5, 0.9])
-def test_halve_step_matches_per_draw_oracle(kind, budget):
+def test_cascade_matches_per_draw_oracle(kind, budget):
     a = ORACLE_INSTANCES[kind]()
     parents = [tuple(range(1, a.m + 1)), tuple(range(1, a.m + 1, 3))]
     for parent in parents:
@@ -415,33 +399,7 @@ def test_halve_step_matches_per_draw_oracle(kind, budget):
         assert stops == {"retries", "min_size", "floor"}
 
 
-@pytest.fixture(scope="module")
-def trig_32x16384() -> OrthoRowMatrix:
-    return gen_trig(32, 16384)
-
-
-@pytest.mark.parametrize(
-    "seed, final_size, retries, child_sizes",
-    [
-        (1, 497, [0, 0, 0, 2, 12], [8185, 4083, 2029, 1004, 497]),
-        (2, 501, [1, 0, 4, 1, 17], [8179, 4075, 2026, 1008, 501]),
-        (3, 490, [3, 0, 0, 0, 22], [8164, 4072, 2034, 1009, 490]),
-        (4, 491, [1, 0, 3, 1, 16], [8177, 4088, 2026, 1002, 491]),
-    ],
-)
-def test_select_subset_pins_trig_trajectories(
-    trig_32x16384, seed, final_size, retries, child_sizes
-):
-    # every draw these runs decide has a deviation at least 1.7e-3 from
-    # epsilon, so last-bit differences between BLAS builds cannot flip one
-    cert, trace = select_subset(trig_32x16384, 0.5, seed)
-    assert len(cert.subset) == final_size
-    assert [s.retries_used for s in trace.steps] == retries
-    assert [s.child_size for s in trace.steps] == child_sizes
-    assert cert.epsilon_achieved <= 0.5
-
-
-def test_selection_grams_match_row_major_layout(monkeypatch, trig_32x16384):
+def test_selection_grams_match_row_major_layout(monkeypatch):
     # certify on the column-major A equals eigvalsh of the Gram gathered
     # from a row-major copy, bit for bit, for every subset a selection tries
     seen = []
@@ -455,7 +413,7 @@ def test_selection_grams_match_row_major_layout(monkeypatch, trig_32x16384):
     for a in (gen_walsh(16, 256), gen_trig(16, 256), gen_random_ortho(16, 256, 3)):
         for seed in range(5):
             select_subset(a, 0.5, seed)
-    select_subset(trig_32x16384, 0.5, 1)
+    select_subset(gen_trig(32, 16384), 0.5, 1)
     monkeypatch.undo()
     assert len(seen) >= 200
     for a, cols in seen:
