@@ -368,7 +368,7 @@ ORACLE_INSTANCES = {
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_INSTANCES))
 @pytest.mark.parametrize("budget", [0.0, 0.3, 0.5, 0.9])
-def test_cascade_matches_per_draw_oracle(kind, budget):
+def test_halve_step_matches_per_draw_oracle(kind, budget):
     a = ORACLE_INSTANCES[kind]()
     parents = [tuple(range(1, a.m + 1)), tuple(range(1, a.m + 1, 3))]
     for parent in parents:
