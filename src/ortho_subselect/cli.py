@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -234,23 +236,46 @@ def cmd_select(args) -> int:
     texts = {args.output: dumps(certificate_to_dict(cert)) + "\n"}
     if args.trace is not None:
         texts[args.trace] = dumps(trace_to_dict(trace)) + "\n"
-    # all or none: each text goes to a temporary file beside its target (a
-    # symlink's target, where open() would write), and the targets are
-    # replaced only once every write has succeeded; an error names the path
-    # as given
-    staged = []
+    # all or none: a target that is a regular file, or does not exist yet, is
+    # written to a temporary file beside it (beside a symlink's target, where
+    # open() would write), which takes an existing target's mode; the targets
+    # are replaced only once every write has succeeded. Any other target
+    # (/dev/null, a pipe, a terminal) cannot be replaced, so it is written in
+    # place, after every temporary file and before any replace. An error
+    # names the path as given
+    staged, direct = [], []
     try:
-        for k, (path, text) in enumerate(texts.items()):
-            target = os.path.realpath(path)
-            tmp = os.path.join(os.path.dirname(target), f".select-{os.getpid()}-{k}.tmp")
-            try:
-                if os.path.isdir(target):
+        try:
+            for path, text in texts.items():
+                path = str(Path(path))  # "" is ".", the working directory
+                try:
+                    mode = os.stat(path).st_mode
+                except FileNotFoundError:
+                    mode = None
+                if mode is not None and stat.S_ISDIR(mode):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                with open(tmp, "x", encoding="ascii") as f:
-                    staged.append((tmp, target))
+                if mode is not None and not stat.S_ISREG(mode):
+                    direct.append((path, text))
+                    continue
+                target = os.path.realpath(path)
+                # a name left by a killed run is skipped, never reused
+                for k in itertools.count():
+                    tmp = os.path.join(os.path.dirname(target), f".select-{os.getpid()}-{k}.tmp")
+                    try:
+                        f = open(tmp, "x", encoding="ascii")
+                        break
+                    except FileExistsError:
+                        continue
+                staged.append((tmp, target))
+                with f:
                     f.write(text)
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, str(Path(path))) from None
+                if mode is not None:
+                    os.chmod(tmp, stat.S_IMODE(mode))
+            for path, text in direct:
+                with open(path, "w", encoding="ascii") as f:
+                    f.write(text)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
         for tmp, target in staged:
             os.replace(tmp, target)
     finally:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import statistics
 import subprocess
 import sys
@@ -204,6 +205,31 @@ def test_select_unwritable_output_or_trace_is_an_error_line(tmp_path, walsh16, f
     assert run_main(argv, tmp_path) == (1, "", f"error: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "w.txt"]
     assert (tmp_path / "c.json").read_text() == "old\n"
+
+
+def test_select_keeps_each_output_file_type_and_mode(tmp_path, walsh16):
+    # a pipe cannot be replaced, so it is written in place and stays a pipe;
+    # an existing certificate keeps its mode; a temporary file a killed run
+    # left under this pid is skipped and kept
+    os.mkfifo(tmp_path / "t.fifo")
+    (tmp_path / "c.json").write_text("old\n")
+    os.chmod(tmp_path / "c.json", 0o600)
+    left = tmp_path / f".select-{os.getpid()}-0.tmp"
+    left.write_text("left\n")
+    select = ["select", "--input", "w.txt", "--epsilon", "0.5", "--output"]
+    reader = os.open(tmp_path / "t.fifo", os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        got = run_main([*select, "c.json", "--trace", "t.fifo"], tmp_path)
+        trace = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert got == run_main([*select, "c2.json", "--trace", "t.json"], tmp_path)
+    assert got[2] == ""
+    assert trace == (tmp_path / "t.json").read_bytes()
+    assert (tmp_path / "c.json").read_bytes() == (tmp_path / "c2.json").read_bytes()
+    assert stat.S_ISFIFO(os.stat(tmp_path / "t.fifo").st_mode)
+    assert stat.S_IMODE(os.stat(tmp_path / "c.json").st_mode) == 0o600
+    assert left.read_text() == "left\n"
 
 
 def test_select_loose_budget_and_min_size(tmp_path):
