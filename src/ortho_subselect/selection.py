@@ -166,6 +166,8 @@ def _subset_columns(subset, m: int) -> np.ndarray:
         idx = np.asarray(subset, dtype=object)  # ints beyond int64: floats or objects
     elif idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise OrthoSubselectError(f"indices must be flat integers, got {idx.dtype}")
+    elif idx is not subset and any(isinstance(x, (bool, np.bool_)) for x in subset):
+        raise OrthoSubselectError("indices must be flat integers, got bool")  # True reads as 1
     bad = idx[1:] <= idx[:-1]
     if np.any(bad):
         j = int(np.argmax(bad))

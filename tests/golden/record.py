@@ -40,20 +40,23 @@ import numpy as np
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
-# the one-row 2-column matrix with column norms^2 0.8 and 0.2, certified
-# by hand in tests/test_cli.py
+# the one-row 2-column matrix with column norms^2 0.8 and 0.2: subset {1}
+# certifies epsilon 0.6 and {1, 2} epsilon 0
 SKEW = "1 2\n0.89442719099991586 0.44721359549995793\n"
 
 # inputs of every case: generated matrices ("generate": [kind, n, M]),
 # literal text ("text") or a file that an earlier record wrote ("record")
 WALSH = {"walsh.txt": {"generate": ["walsh", 16, 256]}}
+WALSH4 = {"w.txt": {"generate": ["walsh", 4, 16]}}
 TRIG = {"trig.txt": {"generate": ["trig", 32, 16384]}}
 # large enough that LAPACK's eigvalsh rounds differently per BLAS thread count
 TRIG256 = {"trig.txt": {"generate": ["trig", 256, 4096]}}
 # 92.8 MB of text: two accepted halvings at n = 256, then retries exhausted
 TRIG256_WIDE = {"trig.txt": {"generate": ["trig", 256, 16384]}}
 CERTIFY = ["certify", "--input", "walsh.txt", "--epsilon", "0.5", "--subset"]
+CERTIFY4 = ["certify", "--input", "w.txt", "--epsilon", "0.5", "--subset"]
 SELECT = ["select", "--input", "walsh.txt", "--epsilon", "0.5", "--output", "cert.json"]
+SELECT4 = ["select", "--input", "w.txt", "--output", "c.json"]
 STUDY = ["study", "--kind", "walsh", "--n-list", "8,16", "--m-factor", "16",
          "--epsilon", "0.5", "--trials", "2", "--output", "study.csv"]
 # argparse wraps its usage text at $COLUMNS, else at the terminal's width,
@@ -77,6 +80,11 @@ CASES: dict[str, dict] = {
     },
     "verify_all_trials2_seed3": {
         "argv": ["verify", "--suite", "all", "--trials", "2", "--seed", "3"],
+    },
+    # one trial is a usage error only for the process suite, which needs two
+    **{
+        f"verify_{suite}_trials_1": {"argv": ["verify", "--suite", suite, "--trials", "1"]}
+        for suite in ("process", "all", "sudakov", "quasimetric")
     },
     # acceptance criterion 3, extended to n = 128
     "study_walsh_n128": {
@@ -142,6 +150,23 @@ CASES: dict[str, dict] = {
         }
         for seed in (1, 2)
     },
+    # 300 indices are over 1,000 bytes, longer than any file name may be; the
+    # inline list and the JSON file give the same stdout
+    "certify_long_subset_inline": {
+        "argv": ["certify", "--input", "w.txt", "--subset",
+                 ",".join(map(str, range(1, 601, 2))), "--epsilon", "0.5"],
+        "inputs": {"w.txt": {"generate": ["walsh", 16, 1024]}},
+    },
+    "certify_long_subset_json": {
+        "argv": ["certify", "--input", "w.txt", "--subset", "s.json", "--epsilon", "0.5"],
+        "inputs": {"w.txt": {"generate": ["walsh", 16, 1024]},
+                   "s.json": {"text": json.dumps(list(range(1, 601, 2)))}},
+    },
+    "certify_zero_epsilon": {
+        "argv": ["certify", "--input", "w.txt", "--subset",
+                 ",".join(map(str, range(1, 17))), "--epsilon", "0"],
+        "inputs": WALSH4,
+    },
     # the README's example: a valid certificate that misses --epsilon, exit 1
     "certify_paper_example": {
         "argv": ["certify", "--input", "walsh.txt", "--subset", "3,17,40",
@@ -162,14 +187,35 @@ CASES: dict[str, dict] = {
         "argv": ["certify", "--input", "m.txt", "--subset", "1", "--epsilon", "0.5"],
         "inputs": {"m.txt": {"text": SKEW}},
     },
+    "certify_skew_full_set": {
+        "argv": ["certify", "--input", "m.txt", "--subset", "1,2", "--epsilon", "1e-9"],
+        "inputs": {"m.txt": {"text": SKEW}},
+    },
     "subset_duplicate": {"argv": CERTIFY + ["5,3,3"], "inputs": WALSH},
+    # the duplicate is named before the range is checked
+    "subset_json_duplicate": {
+        "argv": ["certify", "--input", "m.txt", "--subset", "s.json", "--epsilon", "0.5"],
+        "inputs": {"m.txt": {"text": SKEW}, "s.json": {"text": "[5, 3, 3]"}},
+    },
     "subset_index_zero": {"argv": CERTIFY + ["0,1"], "inputs": WALSH},
     "subset_out_of_range": {
         "argv": ["certify", "--input", "m.txt", "--subset", "3,17,40", "--epsilon", "0.9"],
         "inputs": {"m.txt": {"text": SKEW}},
     },
     "subset_unparsable": {"argv": CERTIFY + ["1,a"], "inputs": WALSH},
+    # int() reads 1_0 as 10, a valid column of this 4 x 16 matrix, and the
+    # Arabic-Indic digits 1,2,3 as 1, 2 and 3
+    **{
+        f"subset_{name}": {
+            "argv": ["certify", "--input", "w.txt", "--subset", subset, "--epsilon", "5"],
+            "inputs": WALSH4,
+        }
+        for name, subset in (("digit_group", "1_0"), ("second_digit_group", "1,1_0"),
+                             ("arabic_indic", "\u0661,\u0662,\u0663"))
+    },
     "subset_empty": {"argv": CERTIFY + [""], "inputs": WALSH},
+    # Path("") is Path("."), which exists; only "." itself names the directory
+    "subset_dot": {"argv": CERTIFY4 + ["."], "inputs": WALSH4},
     "subset_json_without_subset": {
         "argv": CERTIFY + ["s.json"],
         "inputs": {**WALSH, "s.json": {"text": '{"x": 1}'}},
@@ -178,9 +224,31 @@ CASES: dict[str, dict] = {
         "argv": CERTIFY + ["s.json"],
         "inputs": {**WALSH, "s.json": {"text": "[1.5]"}},
     },
+    # read as 1..8, these would certify: rows of H8, deviation 0
+    "subset_json_bool": {
+        "argv": CERTIFY4 + ["s.json"],
+        "inputs": {**WALSH4, "s.json": {"text": '{"subset": [true, 2, 3, 4, 5, 6, 7, 8]}'}},
+    },
+    "subset_json_truncated": {
+        "argv": CERTIFY4 + ["s.json"],
+        "inputs": {**WALSH4, "s.json": {"text": '{"subset": [1, 2'}},
+    },
+    "subset_json_non_ascii": {
+        "argv": CERTIFY4 + ["s.json"],
+        "inputs": {**WALSH4, "s.json": {"text": '{"subset": [1, 2]}\u00e9'}},
+    },
     "certify_negative_epsilon": {
         "argv": ["certify", "--input", "walsh.txt", "--subset", "1", "--epsilon", "-1"],
         "inputs": WALSH,
+    },
+    # the subset does not parse, so only a check made before it is read passes
+    **{
+        f"certify_epsilon_{name}": {
+            "argv": ["certify", "--input", "w.txt", "--subset", "x", f"--epsilon={epsilon}"],
+            "inputs": WALSH4,
+        }
+        for name, epsilon in (("nan", "nan"), ("inf", "inf"), ("minus_inf", "-inf"),
+                              ("minus_1", "-1"))
     },
     # select argument errors
     "select_min_size_0": {"argv": SELECT + ["--min-size", "0"], "inputs": WALSH},
@@ -192,6 +260,41 @@ CASES: dict[str, dict] = {
         "argv": ["select", "--input", "walsh.txt", "--epsilon", "1", "--output", "cert.json"],
         "inputs": WALSH,
     },
+    "select_not_orthonormal": {
+        "argv": ["select", "--input", "m.txt", "--epsilon", "0.5", "--output", "c.json"],
+        "inputs": {"m.txt": {"text": "2 3\n1 0 0\n1 1 0\n"}},
+    },
+    # usage errors: argparse rejects other scripts' digits before any file is read
+    "select_epsilon_arabic_indic": {
+        "argv": SELECT4 + ["--epsilon", "\u0660.\u0665", "--seed", "\u0661\u0660"],
+    },
+    "study_n_list_arabic_indic": {
+        "argv": ["study", "--kind", "walsh", "--n-list", "\u0668,16", "--m-factor", "16",
+                 "--epsilon", "0.5", "--output", "s.csv"],
+    },
+    "verify_trials_arabic_indic": {"argv": ["verify", "--suite", "sudakov", "--trials", "\u0662"]},
+    "verify_trials_0": {"argv": ["verify", "--suite", "sudakov", "--trials", "0"]},
+    "verify_trials_negative": {"argv": ["verify", "--suite", "sudakov", "--trials", "-1"]},
+    "usage_unknown_kind": {
+        "argv": ["gen", "--kind", "nope", "--n", "1", "--M", "2", "--output", "x.txt"],
+    },
+    "usage_unknown_command": {"argv": ["frobnicate"]},
+    # a loose budget, and a min_size that stops before the first halving
+    "select_trig3x11_loose": {
+        "argv": ["select", "--input", "t.txt", "--epsilon", "0.999", "--output", "c1.json"],
+        "inputs": {"t.txt": {"generate": ["trig", 3, 11]}},
+    },
+    "select_trig3x11_min_size_11": {
+        "argv": ["select", "--input", "t.txt", "--epsilon", "0.5", "--min-size", "11",
+                 "--output", "c2.json"],
+        "inputs": {"t.txt": {"generate": ["trig", 3, 11]}},
+    },
+    # epsilon^2 underflows to 0, or kappa (t/epsilon)^2 n ln n overflows: the
+    # floor is +inf, so the cascade makes no halving
+    "select_epsilon_underflow": {"argv": SELECT4 + ["--epsilon", "1e-200"], "inputs": WALSH4},
+    "select_kappa_overflow": {
+        "argv": SELECT4 + ["--epsilon", "0.5", "--kappa", "1e308"], "inputs": WALSH4,
+    },
     # gen output, the matrix file kept by its SHA-256; n = 100 is not a power of two
     "gen_walsh_n16_m256": {
         "argv": ["gen", "--kind", "walsh", "--n", "16", "--M", "256", "--output", "w.txt"],
@@ -200,6 +303,23 @@ CASES: dict[str, dict] = {
     "gen_walsh_n100_m128": {
         "argv": ["gen", "--kind", "walsh", "--n", "100", "--M", "128", "--output", "w.txt"],
         "digest_files": True,
+    },
+    # the random kind's QR rounds per BLAS build, so its numbers are compared
+    # at 1e-12 on other builds and its bytes only on the recording one
+    "gen_random_n8_m64_seed3": {
+        "argv": ["gen", "--kind", "random", "--n", "8", "--M", "64", "--seed", "3",
+                 "--output", "r.txt"],
+    },
+    # the walsh and trig kinds read no seed, so a negative one is no error;
+    # the trig file is kept as text, since its cosines near 0 round per libm
+    "gen_walsh_negative_seed": {
+        "argv": ["gen", "--kind", "walsh", "--n", "2", "--M", "4", "--seed", "-1",
+                 "--output", "m.txt"],
+        "digest_files": True,
+    },
+    "gen_trig_negative_seed": {
+        "argv": ["gen", "--kind", "trig", "--n", "2", "--M", "4", "--seed", "-1",
+                 "--output", "m.txt"],
     },
     # gen argument errors
     "gen_walsh_m12": {
@@ -218,6 +338,12 @@ CASES: dict[str, dict] = {
     "study_n_descending": {"argv": STUDY + ["--n-list", "16,8"]},
     "study_epsilon_1": {"argv": STUDY + ["--epsilon", "1"]},
     "study_trials_0": {"argv": STUDY + ["--trials", "0"]},
+    "study_kappa_nan": {"argv": STUDY + ["--kappa", "nan"]},
+    # epsilon^2 underflows: the floor is +inf and every column is kept
+    "study_epsilon_underflow": {
+        "argv": ["study", "--kind", "walsh", "--n-list", "4", "--m-factor", "4",
+                 "--epsilon", "1e-170", "--trials", "1", "--output", "study.csv"],
+    },
 }
 
 

@@ -1,9 +1,12 @@
 """Replay the golden CLI records in tests/golden/ (written by record.py there).
 
 The records are the one home of the CLI's behaviour: its exit codes, its
-error and usage lines, and the bytes it prints and writes. tests/test_cli.py
-keeps only what a record cannot pin: monkeypatches, hypothesis properties,
-import probes, the files left behind, and the process itself.
+error and usage lines, and the bytes it prints and writes. A record pins the
+whole text where a test would match a substring. tests/test_cli.py keeps
+only what a record cannot pin: a monkeypatch, a hypothesis property, parser
+introspection, an import probe, a symlink, a FIFO, a file that exists before
+the run, the 200,000-bracket subset file, repeated runs in one process, and
+a process of its own.
 
 Exit codes, the text around every number (so JSON key order, check names,
 error lines and argparse's usage text), integers, subset lists and the
@@ -121,6 +124,11 @@ def test_a_trace_certifies_as_its_certificate():
     # certify --subset reads a trace's final_subset
     want = load_record("certify_trig_seed1")["stdout"]
     assert load_record("certify_trig_seed1_trace")["stdout"] == want
+
+
+def test_a_long_inline_subset_certifies_as_its_json_file():
+    want = load_record("certify_long_subset_json")["stdout"]
+    assert load_record("certify_long_subset_inline")["stdout"] == want
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -79,11 +79,6 @@ def test_orthonormalize_random_gaussian():
     np.testing.assert_allclose(coeffs @ a.mat, m, atol=1e-10)
 
 
-def test_orthonormalize_rank_deficient_raises():
-    with pytest.raises(OrthoSubselectError, match="row 2 is linearly dependent"):
-        orthonormalize_rows([[1.0, 2.0], [2.0, 4.0]])
-
-
 @pytest.mark.parametrize(
     "kind,n,m", [("trig", 8, 100), ("trig", 32, 16384), ("gauss", 4, 16),
                  ("gauss", 16, 64)]
@@ -115,22 +110,6 @@ def test_orthonormalize_and_oracle_accept_small_residual():
     got = orthonormalize_rows(rows).mat
     np.testing.assert_allclose(got, _mgs_rows(rows), rtol=0.0, atol=1e-8)
     np.testing.assert_allclose(np.abs(got), np.eye(2, 3), rtol=0.0, atol=1e-8)
-
-
-def test_ortho_row_matrix_rejects_bad_input():
-    def not_orthonormal(err):
-        return re.escape(
-            f"rows not orthonormal: max |A A^T - I| = {err} exceeds 1.000e-10"
-        )
-
-    with pytest.raises(OrthoSubselectError, match=not_orthonormal("1.000e+00")):
-        OrthoRowMatrix(np.array([[1.0, 1.0]]))
-    with pytest.raises(OrthoSubselectError, match=not_orthonormal("4.000e+00")):
-        OrthoRowMatrix(np.ones((2, 4)))  # equal rows
-    with pytest.raises(OrthoSubselectError, match=not_orthonormal("1.000e+00")):
-        OrthoRowMatrix(np.diag([1.0, 1.0, 0.0]))  # rank 2, not orthonormal
-    with pytest.raises(OrthoSubselectError, match="need n <= M, got 3x2"):
-        OrthoRowMatrix(np.ones((3, 2)))  # n > M
 
 
 def test_ortho_row_matrix_stores_column_major(monkeypatch, tmp_path):
@@ -207,52 +186,22 @@ def test_gram_additive_over_disjoint_subsets():
     assert abs(gram(idx[:7]) + gram(idx[7:16]) - gram(idx[:16])) <= 1e-12
 
 
-def test_gram_errors():
-    a = _flat_row(0.5)
-    with pytest.raises(OrthoSubselectError, match="at least one column"):
-        certify(a, ())
-    with pytest.raises(OrthoSubselectError, match=re.escape("in 1..2, got range [0, 1]")):
-        certify(a, (0, 1))
-    with pytest.raises(OrthoSubselectError, match=re.escape("in 1..2, got range [1, 3]")):
-        certify(a, (1, 3))
-    with pytest.raises(OrthoSubselectError, match="indices must be strictly increasing"):
-        certify(a, (2, 1))
-    # a subset carries no width: one valid for a wider matrix is out of range
-    with pytest.raises(OrthoSubselectError, match=re.escape("in 1..2, got range [1, 3]")):
-        certify(a, (1, 2, 3))
-
-
 def test_certify_checks_its_subset_indices(tmp_path):
+    # the messages of the other checks are in tests/test_errors.py
     a = gen_trig(2, 4)
-    flat = "indices must be flat integers, got "
-    with pytest.raises(OrthoSubselectError, match=flat + "float64"):
-        certify(a, (1.7, 2.2))  # int() would have truncated to (1, 2)
-    with pytest.raises(OrthoSubselectError, match=flat + "bool"):
-        certify(a, (True, False))
-    with pytest.raises(OrthoSubselectError, match=flat + "int"):  # int32 on Windows
-        certify(a, ((1, 2),))
-    with pytest.raises(OrthoSubselectError, match=flat + "object"):
-        certify(a, (1.5, 10**20))
     # ints past int64 reach the range check, inline and from a JSON file
     huge = "99999999999999999999"
     (tmp_path / "huge.json").write_text(f"[1, {huge}]", encoding="ascii")
     for spec, lo, hi in ((huge, huge, huge), (str(tmp_path / "huge.json"), 1, huge),
                          (f"5,{2**63}", 5, 2**63)):
-        with pytest.raises(OrthoSubselectError,
-                           match=re.escape(f"in 1..4, got range [{lo}, {hi}]")):
+        with pytest.raises(OrthoSubselectError) as err:
             certify(a, parse_subset_spec(spec))
+        assert str(err.value) == f"indices must lie in 1..4, got range [{lo}, {hi}]"
     cert = certify(a, np.array([2, 3], dtype=np.intp))
     assert cert == certify(a, (2, 3))
     assert all(type(x) is int for x in cert.subset)
-    for empty in ((), np.array([], dtype=np.intp)):
-        with pytest.raises(OrthoSubselectError, match="at least one column"):
-            certify(a, empty)
     assert parse_subset_spec("3,1") == [1, 3]
     assert certify(a, sorted({3, 1})).subset == (1, 3)
-    with pytest.raises(OrthoSubselectError, match="duplicate index 2"):
-        certify(a, parse_subset_spec("2,1,2"))
-    with pytest.raises(OrthoSubselectError, match="strictly increasing"):
-        certify(a, (2, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -260,7 +209,7 @@ class SubsetIndex:
     """Strictly increasing 1-based column indices into a width-``m`` matrix.
 
     Test oracle: the validated subset type that ``certify``'s own check
-    replaced, kept verbatim.
+    replaced, kept verbatim but for the rejection of a bool among ints.
     """
 
     indices: tuple[int, ...]
@@ -274,6 +223,10 @@ class SubsetIndex:
             idx = np.asarray(self.indices, dtype=object)
         elif idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
             raise OrthoSubselectError(f"indices must be flat integers, got {idx.dtype}")
+        elif idx is not self.indices and any(
+            isinstance(x, (bool, np.bool_)) for x in self.indices
+        ):  # the one addition: numpy reads (True, 3) as int64
+            raise OrthoSubselectError("indices must be flat integers, got bool")
         bad = idx[1:] <= idx[:-1]
         if np.any(bad):
             j = int(np.argmax(bad))
