@@ -336,6 +336,8 @@ CASES: dict[str, dict] = {
     "study_m_factor_0": {"argv": STUDY + ["--m-factor", "0"]},
     "study_n_below_2": {"argv": STUDY + ["--n-list", "1,2"]},
     "study_n_descending": {"argv": STUDY + ["--n-list", "16,8"]},
+    # the one check ahead of min(n_list)
+    "study_n_list_empty": {"argv": STUDY + ["--n-list", ""]},
     "study_epsilon_1": {"argv": STUDY + ["--epsilon", "1"]},
     "study_trials_0": {"argv": STUDY + ["--trials", "0"]},
     "study_kappa_nan": {"argv": STUDY + ["--kappa", "nan"]},
