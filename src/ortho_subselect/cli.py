@@ -18,7 +18,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,72 +57,12 @@ VERIFY_ALPHA = 1e-6
 SUDAKOV_THRESHOLD = 5.026312836029865
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    kind: str
-    n_list: tuple[int, ...]
-    m_factor: int
-    epsilon: float
-    trials: int
-    seed: int
-    kappa: float = DEFAULT_KAPPA
-
-    def __post_init__(self):
-        if not self.n_list or list(self.n_list) != sorted(set(self.n_list)):
-            raise OrthoSubselectError("n_list must be nonempty and strictly ascending")
-        if min(self.n_list) < 2:
-            raise OrthoSubselectError("study requires n >= 2 (ratio divides by n ln n)")
-        if self.m_factor < 1:
-            raise OrthoSubselectError("m_factor must be >= 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise OrthoSubselectError("epsilon must be in (0, 1)")
-        if self.trials < 1:
-            raise OrthoSubselectError("trials must be >= 1")
-
-
-@dataclass(frozen=True)
-class StudyRow:
-    n: int
-    m: int
-    trial: int
-    final_size: int
-    epsilon_achieved: float
-    steps: int
-    total_retries: int
-    ratio: float  # final_size / (n ln n)
-
-
-def _generate(kind: str, n: int, m: int, seed: int) -> OrthoRowMatrix:
-    if kind == "walsh":
-        return gen_walsh(n, m)
-    if kind == "trig":
-        return gen_trig(n, m)
-    if kind == "random":
-        return gen_random_ortho(n, m, seed)
-    raise OrthoSubselectError(f"unknown generator kind {kind!r}")
-
-
-def run_study(cfg: StudyConfig) -> list[StudyRow]:
-    """One selection run per (n, trial), in (n, trial) order."""
-    rows = []
-    for n in cfg.n_list:
-        a = _generate(cfg.kind, n, cfg.m_factor * n, child_seed(cfg.seed, "matrix", n))
-        for trial in range(cfg.trials):
-            cert, trace = select_subset(
-                a, cfg.epsilon, child_seed(cfg.seed, n, trial), kappa=cfg.kappa
-            )
-            size = len(cert.subset)
-            rows.append(StudyRow(
-                n=n,
-                m=a.m,
-                trial=trial,
-                final_size=size,
-                epsilon_achieved=cert.epsilon_achieved,
-                steps=len(trace.steps),
-                total_retries=sum(s.retries_used for s in trace.steps),
-                ratio=size / (n * math.log(n)),
-            ))
-    return rows
+# each entry is called as (n, M, seed); walsh and trig read no seed
+GENERATORS = {
+    "walsh": lambda n, m, seed: gen_walsh(n, m),
+    "trig": lambda n, m, seed: gen_trig(n, m),
+    "random": gen_random_ortho,
+}
 
 
 def _median(values) -> float:
@@ -132,43 +71,6 @@ def _median(values) -> float:
     s = sorted(values)
     k = len(s) // 2
     return float(s[k]) if len(s) % 2 else (s[k - 1] + s[k]) / 2
-
-
-def study_summary(cfg: StudyConfig, rows: list[StudyRow]) -> dict:
-    per_n = []
-    for n in cfg.n_list:
-        ratios = [r.ratio for r in rows if r.n == n]
-        finals = [r.final_size for r in rows if r.n == n]
-        per_n.append(
-            {
-                "n": n,
-                "M": cfg.m_factor * n,
-                "median_ratio": _median(ratios),
-                "median_final_size": _median(finals),
-            }
-        )
-    medians = [e["median_ratio"] for e in per_n]
-    return {
-        "kind": cfg.kind,
-        "epsilon": cfg.epsilon,
-        "kappa": cfg.kappa,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "per_n": per_n,
-        "median_ratio_min": min(medians),
-        "median_ratio_max": max(medians),
-        "median_ratio_spread": max(medians) / min(medians),
-    }
-
-
-def study_rows_to_csv(rows: list[StudyRow]) -> str:
-    """CSV_HEADER plus one line per row; StudyRow's fields are the columns."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join(
-            format_float(v) if isinstance(v, float) else str(v) for v in astuple(r)
-        ))
-    return "\n".join(lines) + "\n"
 
 
 def parse_subset_spec(spec: str) -> list[int]:
@@ -203,7 +105,7 @@ def parse_subset_spec(spec: str) -> list[int]:
 
 
 def cmd_gen(args) -> int:
-    a = _generate(args.kind, args.n, args.M, args.seed)
+    a = GENERATORS[args.kind](args.n, args.M, args.seed)
     write_matrix_text(args.output, a.mat)
     norms = a.column_norms
     # lowest column within rounding of the maximum, so exact ties pick the first
@@ -296,19 +198,53 @@ def cmd_certify(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg = StudyConfig(
-        kind=args.kind,
-        n_list=tuple(args.n_list),
-        m_factor=args.m_factor,
-        epsilon=args.epsilon,
-        trials=args.trials,
-        seed=args.seed,
-        kappa=args.kappa,
-    )
-    rows = run_study(cfg)
-    Path(args.output).write_text(study_rows_to_csv(rows), encoding="ascii")
-    print(dumps(study_summary(cfg, rows)))
-    if any(r.epsilon_achieved > cfg.epsilon for r in rows):
+    n_list = args.n_list
+    if not n_list or n_list != sorted(set(n_list)):
+        raise OrthoSubselectError("n_list must be nonempty and strictly ascending")
+    if min(n_list) < 2:
+        raise OrthoSubselectError("study requires n >= 2 (ratio divides by n ln n)")
+    if args.m_factor < 1:
+        raise OrthoSubselectError("m_factor must be >= 1")
+    if not 0.0 < args.epsilon < 1.0:
+        raise OrthoSubselectError("epsilon must be in (0, 1)")
+    if args.trials < 1:
+        raise OrthoSubselectError("trials must be >= 1")
+    # one selection run per (n, trial), in (n, trial) order
+    lines, per_n, worst = [CSV_HEADER], [], 0.0
+    for n in n_list:
+        m = args.m_factor * n
+        a = GENERATORS[args.kind](n, m, child_seed(args.seed, "matrix", n))
+        ratios, finals = [], []
+        for trial in range(args.trials):
+            cert, trace = select_subset(
+                a, args.epsilon, child_seed(args.seed, n, trial), kappa=args.kappa
+            )
+            size = len(cert.subset)
+            ratio = size / (n * math.log(n))
+            row = (n, m, trial, size, cert.epsilon_achieved, len(trace.steps),
+                   sum(s.retries_used for s in trace.steps), ratio)
+            lines.append(",".join(
+                format_float(v) if isinstance(v, float) else str(v) for v in row
+            ))
+            ratios.append(ratio)
+            finals.append(size)
+            worst = max(worst, cert.epsilon_achieved)
+        per_n.append({"n": n, "M": m, "median_ratio": _median(ratios),
+                      "median_final_size": _median(finals)})
+    Path(args.output).write_text("\n".join(lines) + "\n", encoding="ascii")
+    medians = [e["median_ratio"] for e in per_n]
+    print(dumps({
+        "kind": args.kind,
+        "epsilon": args.epsilon,
+        "kappa": args.kappa,
+        "seed": args.seed,
+        "trials": args.trials,
+        "per_n": per_n,
+        "median_ratio_min": min(medians),
+        "median_ratio_max": max(medians),
+        "median_ratio_spread": max(medians) / min(medians),
+    }))
+    if worst > args.epsilon:
         print("error: a trial certificate exceeded epsilon", file=sys.stderr)
         return 1
     return 0
@@ -395,16 +331,19 @@ def _verify_quasimetric(trials: int, seed: int) -> list[dict]:
     return out
 
 
+# each suite with its default --trials
+SUITES = {
+    "process": (_verify_process, 200),
+    "sudakov": (_verify_sudakov, 10000),
+    "quasimetric": (_verify_quasimetric, 100000),
+}
+
+
 def cmd_verify(args) -> int:
-    suites = {
-        "process": (_verify_process, 200),
-        "sudakov": (_verify_sudakov, 10000),
-        "quasimetric": (_verify_quasimetric, 100000),
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     all_pass = True
     for name in names:
-        fn, default_trials = suites[name]
+        fn, default_trials = SUITES[name]
         trials = args.trials if args.trials is not None else default_trials
         for line in fn(trials, child_seed(args.seed, name)):
             print(dumps(line))
@@ -458,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance matrix")
-    p.add_argument("--kind", required=True, choices=("walsh", "trig", "random"))
+    p.add_argument("--kind", required=True, choices=GENERATORS)
     p.add_argument("--n", required=True, type=_int)
     p.add_argument("--M", required=True, type=_int)
     p.add_argument("--seed", type=_int, default=0)
@@ -484,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("study", help="scaling sweep over n, CSV output")
-    p.add_argument("--kind", required=True, choices=("walsh", "trig", "random"))
+    p.add_argument("--kind", required=True, choices=GENERATORS)
     p.add_argument("--n-list", required=True, type=_int_list)
     p.add_argument("--m-factor", required=True, type=_int,
                    help="integer f in the size rule M = f*n")
@@ -496,20 +435,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("verify", help="estimator and property suites")
-    p.add_argument("--suite", required=True,
-                   choices=("process", "sudakov", "quasimetric", "all"))
+    p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    # the parser goes out of scope here, so main does not hold it while the
+    # the parsers go out of scope here, so main does not hold them while the
     # command runs
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the subcommand's parser reports these checks, with its usage and
+    # prefix, as it reports its own
+    parser = vars(args).pop("parser")
     if args.command == "verify" and args.suite in ("process", "all") and args.trials == 1:
         # the process suite's standard errors need two trials
         parser.error("argument --trials: the process suite needs at least 2")

@@ -29,7 +29,7 @@ from .rng import child_seed, trial_rngs
 
 DEFAULT_MAX_RETRIES = 64
 # Floor coefficient for the analytic stop ceil(kappa * t^2/eps^2 * n * ln n);
-# 0.25 is an unfitted constant (ROADMAP item 7 measures the accepted draws'
+# 0.25 is an unfitted constant (ROADMAP item 6 measures the accepted draws'
 # kappa_eff). See select_subset.
 DEFAULT_KAPPA = 0.25
 

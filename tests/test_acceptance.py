@@ -5,6 +5,7 @@ Every tolerance and runtime budget is pinned here; nothing is calibrated at
 run time.
 """
 
+import csv
 import itertools
 import math
 import statistics
@@ -12,7 +13,7 @@ import time
 
 import numpy as np
 
-from golden.record import run_cli_process
+from golden.record import run_cli_process, run_main
 from ortho_subselect import (
     OrthoRowMatrix,
     certify,
@@ -27,7 +28,6 @@ from ortho_subselect import (
     select_subset,
     write_matrix_text,
 )
-from ortho_subselect.cli import StudyConfig, run_study
 from ortho_subselect.processes import check_sandwich
 
 
@@ -78,16 +78,20 @@ def test_criterion_02_certificate_soundness():
             assert abs(again.lambda_max - cert.lambda_max) <= 1e-10
 
 
-def test_criterion_03_n_log_n_scaling():
+def test_criterion_03_n_log_n_scaling(tmp_path):
     with Criterion(3, "median final_size/(n ln n) spread < 3 over n", 300):
-        cfg = StudyConfig(kind="walsh", n_list=(8, 16, 32, 64), m_factor=16,
-                          epsilon=0.5, trials=10, seed=0)
-        rows = run_study(cfg)
-        assert all(r.epsilon_achieved <= 0.5 for r in rows)
+        code, _, err = run_main(["study", "--kind", "walsh", "--n-list", "8,16,32,64",
+                                 "--m-factor", "16", "--epsilon", "0.5", "--trials", "10",
+                                 "--seed", "0", "--output", "study.csv"], tmp_path)
+        assert code == 0, err
+        text = (tmp_path / "study.csv").read_text(encoding="ascii")
+        rows = list(csv.DictReader(text.splitlines()))
+        assert len(rows) == 40
+        assert all(float(r["epsilon_achieved"]) <= 0.5 for r in rows)
         medians = []
-        for n in cfg.n_list:
+        for n in ("8", "16", "32", "64"):
             medians.append(
-                statistics.median(r.ratio for r in rows if r.n == n)
+                statistics.median(float(r["ratio"]) for r in rows if r["n"] == n)
             )
         spread = max(medians) / min(medians)
         assert spread < 3.0, f"median ratio spread {spread:.2f} >= 3"

@@ -6,7 +6,6 @@ import stat
 import statistics
 import subprocess
 import sys
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,12 +22,7 @@ from ortho_subselect import (
     processes,
     write_matrix_text,
 )
-from ortho_subselect.cli import (
-    CSV_HEADER,
-    StudyRow,
-    main,
-    study_rows_to_csv,
-)
+from ortho_subselect.cli import main
 from ortho_subselect.rng import trial_rngs
 
 
@@ -158,7 +152,7 @@ def test_select_rejects_two_flags_naming_one_file(tmp_path, walsh16, same):
                              *[arg for item in paths.items() for arg in map(str, item)]],
                             tmp_path)
     assert code == 2
-    assert f"argument {same[1]}: same file as {same[0]}" in err
+    assert f"ortho-subselect select: error: argument {same[1]}: same file as {same[0]}" in err
     assert walsh16.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["w.txt"]
 
@@ -270,16 +264,6 @@ def test_numeric_flag_types_read_plain_ascii_like_int_and_float(text):
                           (cli._int_list, builtin_list)):
         want = _outcome(builtin, text) if plain else "rejected"
         assert _outcome(ours, text) == want
-
-
-def test_study_csv_columns_are_study_row_fields():
-    names = [f.name for f in fields(StudyRow)]
-    assert CSV_HEADER.split(",") == ["M" if c == "m" else c for c in names]
-    row = StudyRow(n=8, m=128, trial=3, final_size=40, epsilon_achieved=0.1,
-                   steps=2, total_retries=7, ratio=1 / 3)
-    assert study_rows_to_csv([row]) == (
-        CSV_HEADER + "\n8,128,3,40,0.10000000000000001,2,7,0.33333333333333331\n"
-    )
 
 
 def test_sudakov_suite_seeds_two_passes_of_trials(monkeypatch, capsys):

@@ -21,14 +21,8 @@ from ortho_subselect import (
     orthonormalize_rows,
     uniform_baseline,
 )
-from ortho_subselect.cli import StudyConfig, _generate, parse_subset_spec
+from ortho_subselect.cli import parse_subset_spec
 from ortho_subselect.processes import check_sandwich
-
-
-def _study(**kwargs):
-    args = {"kind": "walsh", "n_list": (8, 16), "m_factor": 16, "epsilon": 0.5,
-            "trials": 2, "seed": 0, **kwargs}
-    return StudyConfig(**args)
 
 
 E1 = OrthoRowMatrix(np.eye(1, 4))
@@ -43,15 +37,6 @@ def _not_orthonormal(err):
 # nowhere else; select_subset's are in tests/test_selection.py, whose test
 # also shows that no draw is made
 ARGUMENT_CHECKS = {
-    "study_n_list": (lambda: _study(n_list=(16, 8)),
-                     "n_list must be nonempty and strictly ascending"),
-    "study_n_below_2": (lambda: _study(n_list=(1, 2)),
-                        "study requires n >= 2 (ratio divides by n ln n)"),
-    "study_m_factor": (lambda: _study(m_factor=0), "m_factor must be >= 1"),
-    "study_epsilon": (lambda: _study(epsilon=1.0), "epsilon must be in (0, 1)"),
-    "study_trials": (lambda: _study(trials=0), "trials must be >= 1"),
-    "generator_kind": (lambda: _generate("nope", 4, 8, 0),
-                       "unknown generator kind 'nope'"),
     "generator_shape": (lambda: gen_trig(5, 4), "need 1 <= n <= M, got n=5, M=4"),
     "walsh_shape": (lambda: gen_walsh(4, 2), "need 1 <= n <= M, got n=4, M=2"),
     "walsh_power_of_two": (lambda: gen_walsh(4, 12), "M must be a power of 2, got 12"),

@@ -138,7 +138,7 @@ def gen_report(monkeypatch, tmp_path, capsys):
     """gen's stdout report on a given matrix: ``cli.main(["gen", ...])`` with
     the generator swapped for one that returns the matrix."""
     def report(a: OrthoRowMatrix) -> dict:
-        monkeypatch.setattr(cli, "_generate", lambda kind, n, m, seed: a)
+        monkeypatch.setitem(cli.GENERATORS, "trig", lambda n, m, seed: a)
         argv = ["gen", "--kind", "trig", "--n", str(a.n), "--M", str(a.m),
                 "--output", str(tmp_path / "a.txt")]
         assert cli.main(argv) == 0
