@@ -32,7 +32,6 @@ from .selection import (
     cardinality_window,
     certify,
     select_subset,
-    uniform_baseline,
 )
 
 __version__ = "0.1.0"

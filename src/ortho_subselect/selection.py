@@ -198,24 +198,6 @@ def _certificate(a: OrthoRowMatrix, cols: np.ndarray) -> IsometryCertificate:
     )
 
 
-def uniform_baseline(
-    a: OrthoRowMatrix, size: int, seed: int, trials: int
-) -> list[IsometryCertificate]:
-    """Certify ``trials`` uniformly random subsets of the given cardinality.
-
-    Trial k draws from the generator seeded by child_seed(seed, k);
-    certificates are returned in trial order.
-    """
-    if not 1 <= size <= a.m:
-        raise OrthoSubselectError(f"size must be in 1..{a.m}, got {size}")
-    if trials < 1:
-        raise OrthoSubselectError(f"trials must be >= 1, got {trials}")
-    return [
-        _certificate(a, np.sort(rng.choice(a.m, size=size, replace=False)))
-        for rng in trial_rngs(seed, trials)
-    ]
-
-
 def certificate_to_dict(cert: IsometryCertificate) -> dict:
     """Certificate in its normative JSON field order."""
     return {

@@ -19,7 +19,6 @@ from ortho_subselect import (
     gen_trig,
     gen_walsh,
     orthonormalize_rows,
-    uniform_baseline,
 )
 from ortho_subselect.cli import parse_subset_spec
 from ortho_subselect.processes import check_sandwich
@@ -62,12 +61,6 @@ ARGUMENT_CHECKS = {
                           "need samples >= 1 and dim >= 1"),
     "sandwich_dim": (lambda: check_sandwich(10, 0, seed=0),
                      "need samples >= 0 and dim >= 1"),
-    "baseline_trials": (lambda: uniform_baseline(gen_walsh(2, 4), 2, seed=0, trials=0),
-                        "trials must be >= 1, got 0"),
-    "baseline_size_0": (lambda: uniform_baseline(gen_walsh(4, 16), 0, seed=0, trials=1),
-                        "size must be in 1..16, got 0"),
-    "baseline_size_above_m": (lambda: uniform_baseline(gen_walsh(4, 16), 17, seed=0, trials=1),
-                              "size must be in 1..16, got 17"),
     "matrix_not_orthonormal": (lambda: OrthoRowMatrix(np.array([[1.0, 1.0]])),
                                _not_orthonormal("1.000e+00")),
     "matrix_equal_rows": (lambda: OrthoRowMatrix(np.ones((2, 4))),

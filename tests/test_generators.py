@@ -62,7 +62,7 @@ def test_walsh_matches_the_parity_construction(shape):
 
 @pytest.mark.parametrize("n, m", [(64, 1024), (256, 4096)])
 def test_walsh_memory_stays_near_the_matrix(n, m):
-    # the parity construction peaked at 3.2x the matrix, doubling at 1.2x
+    # Sylvester's doubling peaks at about 1.2x the matrix
     matrix = 8 * n * m
     tracemalloc.start()
     try:

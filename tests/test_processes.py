@@ -412,7 +412,7 @@ def test_check_sandwich_draws_the_whole_array_stream(monkeypatch, samples, dim):
         (lambda samples: check_quasi_triangle(samples, 32, seed=5), (20_000, 200_000)),
         (lambda samples: check_sandwich(samples, 32, seed=5), (20_000, 200_000)),
         # tracemalloc slows the per-hull draw calls about 15x, so this one
-        # runs 10x fewer samples; holding all 20,000 at once peaked at 43 MiB
+        # runs 10x fewer samples
         (lambda samples: check_ball_convexity(samples, 32, seed=5), (2_000, 20_000)),
     ],
     ids=["triangle", "sandwich", "convexity"],

@@ -103,10 +103,9 @@ def test_public_names_are_pinned():
         "check_quasi_triangle", "child_seed",
         "estimate_process", "gaussian_sup_estimates", "gen_random_ortho", "gen_trig",
         "gen_walsh", "orthonormalize_rows",
-        "read_matrix_text", "select_subset",
-        "uniform_baseline", "write_matrix_text",
+        "read_matrix_text", "select_subset", "write_matrix_text",
     ]
-    assert len(public) == 21
+    assert len(public) == 20
 
 
 def test_readme_library_sketch_runs():

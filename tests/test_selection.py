@@ -18,17 +18,11 @@ from ortho_subselect import (
     gen_trig,
     gen_walsh,
     select_subset,
-    uniform_baseline,
 )
 from ortho_subselect import selection
 from ortho_subselect.linalg import _gram_extremes
-from ortho_subselect.rng import _SEED_CHUNK, trial_rngs
-from ortho_subselect.selection import (
-    _cascade,
-    _size_floor,
-    certificate_to_dict,
-    trace_to_dict,
-)
+from ortho_subselect.rng import trial_rngs
+from ortho_subselect.selection import _cascade, _size_floor
 
 
 def flat_pair() -> OrthoRowMatrix:
@@ -180,26 +174,6 @@ def test_certify_dominates_sampled_quadratic_forms():
     assert sampled <= cert.epsilon_achieved + 1e-6
 
 
-def test_uniform_baseline_full_size():
-    a = gen_walsh(4, 16)
-    for cert in uniform_baseline(a, 16, seed=0, trials=3):
-        assert cert.epsilon_achieved <= 1e-10
-
-
-def test_uniform_baseline_flat_single_row():
-    a = gen_walsh(1, 8)
-    for cert in uniform_baseline(a, 1, seed=1, trials=5):
-        assert cert.epsilon_achieved <= 1e-12
-
-
-def test_uniform_baseline_validation_and_determinism():
-    # its size and trials checks are in tests/test_errors.py
-    a = gen_walsh(4, 16)
-    first = uniform_baseline(a, 6, seed=9, trials=4)
-    second = uniform_baseline(a, 6, seed=9, trials=4)
-    assert first == second
-
-
 def test_select_and_certify_reduce_the_column_norms_once(monkeypatch):
     calls = []
     reduce_norms = OrthoRowMatrix.column_norms.func
@@ -213,69 +187,11 @@ def test_select_and_certify_reduce_the_column_norms_once(monkeypatch):
     cert, _ = select_subset(a, 0.5, seed=1)
     assert calls == [a]
     assert cert == certify(a, cert.subset)  # coherence_t included
-    uniform_baseline(a, 8, seed=2, trials=3)
     estimate_process(a, 2, seed=3)
     assert calls == [a]
     fresh = OrthoRowMatrix(a.mat)
     assert certify(fresh, cert.subset) == cert
     assert calls == [a, fresh]
-
-
-@pytest.mark.parametrize("trials", [1, _SEED_CHUNK + 1])
-def test_uniform_baseline_matches_per_trial_loop(trials):
-    # reference: one generator and one full certify per trial
-    a = gen_random_ortho(3, 12, seed=5)
-    want = []
-    for k in range(trials):
-        rng = np.random.default_rng(child_seed(8, k))
-        cols = np.sort(rng.choice(a.m, size=5, replace=False)) + 1
-        want.append(certify(a, cols))
-    assert uniform_baseline(a, 5, seed=8, trials=trials) == want
-
-
-def test_uniform_baseline_descriptive_run():
-    # comparison-study shape: random subsets of size 8 * ceil(ln 256)
-    a = gen_walsh(8, 256)
-    size = 8 * math.ceil(math.log(256))
-    certs = uniform_baseline(a, size, seed=0, trials=50)
-    eps = sorted(c.epsilon_achieved for c in certs)
-    median = 0.5 * (eps[24] + eps[25])
-    assert 0.0 < median < 1.0
-    assert all(c.scale == 256 / size for c in certs)
-
-
-def test_certificate_json_field_order():
-    a = gen_walsh(2, 4)
-    cert, trace = select_subset(a, 0.9, seed=0)
-    d = certificate_to_dict(cert)
-    assert list(d) == [
-        "n",
-        "M",
-        "subset",
-        "lambda_min",
-        "lambda_max",
-        "epsilon_achieved",
-        "coherence_t",
-        "scale",
-    ]
-    td = trace_to_dict(trace)
-    assert list(td) == ["epsilon_target", "steps", "final_subset"]
-    assert len(td["steps"]) == len(trace.steps) >= 1
-    for step, s in zip(td["steps"], trace.steps):
-        assert list(step) == [
-            "parent_size",
-            "child_size",
-            "deviation_after",
-            "retries_used",
-            "seed",
-        ]
-        assert list(step.values()) == [
-            s.parent_size,
-            s.child_size,
-            s.deviation_after,
-            s.retries_used,
-            s.seed,
-        ]
 
 
 def test_select_zero_kappa_is_legal():
@@ -358,7 +274,7 @@ ORACLE_INSTANCES = {
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_INSTANCES))
 @pytest.mark.parametrize("budget", [0.0, 0.3, 0.5, 0.9])
-def test_halve_step_matches_per_draw_oracle(kind, budget):
+def test_cascade_matches_per_draw_oracle(kind, budget):
     a = ORACLE_INSTANCES[kind]()
     parents = [tuple(range(1, a.m + 1)), tuple(range(1, a.m + 1, 3))]
     for parent in parents:
